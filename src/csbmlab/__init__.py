@@ -29,4 +29,4 @@ from .oversmoothing import (AxiomReport, DecayFit, SimilarityTrace,
                             check_similarity_axioms, fit_decay, gamma,
                             predicted_decay_factor, trace_gamma)
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

@@ -79,11 +79,15 @@ AttentionSpec = Uniform | SignSym | XorNet
 
 
 def psi_sign(xi: float, xj: float, t: float):
-    """Sign-agreement score: +t when xi*xj >= 0, else -t. Vectorises over xj."""
+    """Sign-agreement score: +t when xi*xj >= 0, else -t. Vectorises over xj.
+
+    Agreement is read from the signs, sgn(xi) sgn(xj) >= 0, so a product too
+    small to represent (which rounds to -0.0) cannot pass as agreement.
+    """
     if not t >= 0.0:
         raise ParameterError(f"attention intensity must be >= 0, got {t!r}")
     xj = np.asarray(xj, dtype=np.float64)
-    out = np.where(np.asarray(xi) * xj >= 0.0, t, -t)
+    out = np.where(np.sign(xi) * np.sign(xj) >= 0.0, t, -t)
     return float(out) if out.ndim == 0 else out
 
 

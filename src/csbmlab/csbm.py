@@ -13,6 +13,7 @@ regardless of how the draws are interleaved by the caller.
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import math
 import warnings
@@ -95,10 +96,10 @@ class FeaturedGraph:
     """One sampled graph: labels, scalar features, sparse symmetric adjacency.
 
     Adjacency is held two ways: ``edges`` lists each undirected edge once
-    with i < j, while (``adj_src``, ``adj_dst``) list every directed arc
-    sorted by source, with ``indptr`` delimiting each node's (sorted)
-    neighbour slice. All arrays are read-only; a graph never mutates after
-    construction and is safe to share across workers.
+    with i < j, sorted, while (``indptr``, ``adj_dst``) is the CSR form of
+    the symmetric adjacency: node i's sorted neighbours are
+    ``adj_dst[indptr[i]:indptr[i + 1]]``. All arrays are read-only; a graph
+    never mutates after construction and is safe to share across workers.
     """
 
     n: int
@@ -106,7 +107,6 @@ class FeaturedGraph:
     features: np.ndarray        # float64 per node
     edges: np.ndarray           # (E, 2) int64 with edges[:,0] < edges[:,1]
     indptr: np.ndarray = field(repr=False)
-    adj_src: np.ndarray = field(repr=False)
     adj_dst: np.ndarray = field(repr=False)
     params: CsbmParams | None = None
     seed: int | None = None
@@ -134,19 +134,22 @@ class FeaturedGraph:
                 raise ParameterError("self-loops are not allowed")
             if lo.min() < 0 or hi.max() >= n:
                 raise ParameterError("edge endpoint out of range")
-            edges = np.stack([lo, hi], axis=1)
-            edges = np.unique(edges, axis=0)
-        src = np.concatenate([edges[:, 0], edges[:, 1]])
-        dst = np.concatenate([edges[:, 1], edges[:, 0]])
-        order = np.lexsort((dst, src))
-        src, dst = src[order], dst[order]
+            # the int64 key lo * n + hi sorts (lo, hi) rows lexicographically;
+            # dropping repeats of a sorted key deduplicates them
+            key = np.sort(lo * n + hi)
+            keep = np.ones(key.size, dtype=bool)
+            np.not_equal(key[1:], key[:-1], out=keep[1:])
+            edges = np.stack(np.divmod(key[keep], n), axis=1)
+        # both arcs of every edge, sorted by (source, target) the same way
+        src, dst = np.divmod(np.sort(np.concatenate([edges[:, 0] * n + edges[:, 1],
+                                                     edges[:, 1] * n + edges[:, 0]])), n)
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-        for arr in (labels, features, edges, indptr, src, dst):
+        for arr in (labels, features, edges, indptr, dst):
             arr.setflags(write=False)
         return cls(
             n=n, labels=labels, features=features, edges=edges,
-            indptr=indptr, adj_src=src, adj_dst=dst, params=params, seed=seed,
+            indptr=indptr, adj_dst=dst, params=params, seed=seed,
         )
 
     def neighbors_of(self, i: int) -> np.ndarray:
@@ -218,11 +221,7 @@ def with_feature_params(graph: FeaturedGraph, mu: float, sigma: float) -> Featur
     noise = _stream(graph.seed, _STREAM_FEATURES).standard_normal(graph.n)
     features = (2 * graph.labels.astype(np.float64) - 1) * mu + sigma * noise
     features.setflags(write=False)
-    return FeaturedGraph(
-        n=graph.n, labels=graph.labels, features=features, edges=graph.edges,
-        indptr=graph.indptr, adj_src=graph.adj_src, adj_dst=graph.adj_dst,
-        params=params, seed=graph.seed,
-    )
+    return dataclasses.replace(graph, features=features, params=params)
 
 
 @dataclass(frozen=True)
@@ -306,9 +305,10 @@ def check_concentration_events(graph: FeaturedGraph, params: CsbmParams) -> Even
         float(deg_dev[worst]), mean_deg * band, node=worst,
     )
 
+    src = np.repeat(np.arange(graph.n), graph.degrees)
     same = np.bincount(
-        graph.adj_src,
-        weights=(graph.labels[graph.adj_src] == graph.labels[graph.adj_dst]).astype(np.float64),
+        src,
+        weights=(graph.labels[src] == graph.labels[graph.adj_dst]).astype(np.float64),
         minlength=n,
     )
     cross = deg - same
@@ -363,30 +363,79 @@ def dump_graph(graph: FeaturedGraph, path_or_file) -> None:
         path_or_file.write(text)
 
 
+def _line_error(lineno: int, message: str) -> ParameterError:
+    return ParameterError(f"graph file line {lineno}: {message}")
+
+
+def _parse_edge_lines(lines: list[str], n: int, first_lineno: int) -> np.ndarray:
+    """(E, 2) endpoints of the edge block; blank lines are skipped."""
+    filled = [k for k, line in enumerate(lines) if line.strip()]
+    if not filled:
+        return np.empty((0, 2), dtype=np.int64)
+    try:
+        edges = np.loadtxt(lines, dtype=np.int64, ndmin=2, comments=None)
+        ok = edges.shape[1] == 2
+    except ValueError:
+        ok = False
+    if not ok:
+        for k in filled:
+            parts = lines[k].split()
+            try:
+                if len(parts) != 2:
+                    raise ValueError
+                np.array(parts, dtype=np.int64)
+            except (ValueError, OverflowError):
+                raise _line_error(first_lineno + k,
+                                  f"expected 'i j', got {lines[k]!r}") from None
+        raise ParameterError("graph file: cannot parse the edge lines")
+    bad = np.flatnonzero((edges < 0).any(axis=1) | (edges >= n).any(axis=1)
+                         | (edges[:, 0] == edges[:, 1]))
+    if bad.size:
+        k = filled[bad[0]]
+        raise _line_error(first_lineno + k,
+                          f"edge {lines[k].strip()!r} is a self-loop or has an "
+                          f"endpoint outside [0, {n})")
+    return edges
+
+
 def load_graph(path_or_file) -> FeaturedGraph:
+    """Read a graph written by ``dump_graph``.
+
+    A malformed header, node or edge line, a label other than 0 or 1, a
+    non-finite feature, fewer than n node lines, and an edge endpoint out of
+    range (or a self-loop) raise ParameterError naming the line.
+    """
     if isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__"):
         with open(path_or_file, "r") as fh:
             return load_graph(fh)
     fh: io.TextIOBase = path_or_file
-    header = fh.readline().split()
+    lines = fh.read().splitlines()
+    header = lines[0].split() if lines else []
     if len(header) != 6:
         raise ParameterError("graph file header must be 'n p q mu sigma seed'")
-    n = int(header[0])
-    params = CsbmParams(n=n, p=float(header[1]), q=float(header[2]),
-                        mu=float(header[3]), sigma=float(header[4]))
-    seed = int(header[5])
+    try:
+        n, seed = int(header[0]), int(header[5])
+        p, q, mu, sigma = (float(v) for v in header[1:5])
+    except ValueError:
+        raise _line_error(1, f"cannot parse header {lines[0]!r}") from None
+    params = CsbmParams(n=n, p=p, q=q, mu=mu, sigma=sigma)
+    if len(lines) < n + 1:
+        raise _line_error(len(lines) + 1,
+                          f"file ends after {len(lines) - 1} of {n} node lines")
     labels = np.empty(n, dtype=np.int8)
     features = np.empty(n, dtype=np.float64)
-    for i in range(n):
-        lab, feat = fh.readline().split()
-        labels[i] = int(lab)
-        features[i] = float(feat)
-    edges = []
-    for line in fh:
-        line = line.strip()
-        if not line:
-            continue
-        i, j = line.split()
-        edges.append((int(i), int(j)))
-    return FeaturedGraph.from_edges(labels, features, np.array(edges, dtype=np.int64),
-                                    params=params, seed=seed)
+    for i, line in enumerate(lines[1:n + 1]):
+        parts = line.split()
+        try:
+            if len(parts) != 2:
+                raise ValueError
+            lab, feat = int(parts[0]), float(parts[1])
+        except ValueError:
+            raise _line_error(i + 2, f"expected 'label feature', got {line!r}") from None
+        if lab not in (0, 1):
+            raise _line_error(i + 2, f"label must be 0 or 1, got {lab}")
+        if not math.isfinite(feat):
+            raise _line_error(i + 2, f"feature must be finite, got {parts[1]!r}")
+        labels[i], features[i] = lab, feat
+    edges = _parse_edge_lines(lines[n + 1:], n, first_lineno=n + 2)
+    return FeaturedGraph.from_edges(labels, features, edges, params=params, seed=seed)

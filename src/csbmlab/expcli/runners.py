@@ -2,10 +2,10 @@
 
 Every runner derives the trial seed as ``seed XOR trial index``, evaluates
 whole parameter grids against the same trial graph wherever the model
-allows it (topology never depends on mu, so feature sweeps share
-adjacency), and reduces trial results in index order. Rerunning with the
-same config yields byte-identical CSVs; only the manifest's wall-clock
-line differs.
+allows it (topology never depends on mu, so a feature sweep runs as the
+columns of one feature block through ``run_network``), and reduces trial
+results in index order. Rerunning with the same config yields
+byte-identical CSVs; only the manifest's wall-clock line differs.
 """
 
 from __future__ import annotations
@@ -39,7 +39,11 @@ __all__ = [
     "snr_unit",
 ]
 
-TOOL_VERSION = "0.1.0"
+# 0.2.0: a sign-attention layer sums agreeing and disagreeing neighbours
+# separately (one sparse product per layer), a summation order that moves
+# floating-point results in the last digits; exp1, exp2 and exp4 CSVs of the
+# demo configs are unchanged, exp3's gamma values are not.
+TOOL_VERSION = "0.2.0"
 
 EXP4_MODELS: tuple[tuple[str, tuple[float, ...]], ...] = (
     ("gcn", (0.0, 0.0, 0.0, 0.0)),
@@ -141,6 +145,12 @@ def _accuracy_stats(per_trial: np.ndarray) -> tuple[float, float]:
     return mean, stderr
 
 
+def _feature_block(graph, mus, sigma: float) -> np.ndarray:
+    """(n, len(mus)) block: column i holds the graph's features redrawn at mus[i]."""
+    return np.stack([with_feature_params(graph, mu, sigma).features for mu in mus],
+                    axis=1)
+
+
 def _capture_notes(record) -> dict[str, str]:
     notes = "; ".join(str(w.message) for w in record)
     return {"notes": notes} if notes else {}
@@ -186,13 +196,12 @@ def run_experiment2(config: ExperimentConfig) -> str:
     def one_trial(trial_seed):
         params = CsbmParams.from_ab(config.n, a, b, mu_list[0], config.sigma)
         graph = sample_csbm(params, trial_seed)
+        block = _feature_block(graph, mu_list, config.sigma)
         accs = np.empty((len(mu_list), len(t_grid)))
-        for i, mu in enumerate(mu_list):
-            g = with_feature_params(graph, mu, config.sigma)
-            for k, t in enumerate(t_grid):
-                schedule = LayerSchedule.from_intensities([t] * config.layers)
-                _, result = run_network(g, schedule)
-                accs[i, k] = result.accuracy
+        for k, t in enumerate(t_grid):
+            schedule = LayerSchedule.from_intensities([t] * config.layers)
+            _, result = run_network(graph, schedule, block)
+            accs[:, k] = result.accuracy
         return accs
 
     with warnings.catch_warnings(record=True) as record:
@@ -250,13 +259,12 @@ def run_experiment4(config: ExperimentConfig) -> str:
         params = CsbmParams.from_ab(config.n, a, b, snr_grid[0] * config.sigma,
                                     config.sigma)
         graph = sample_csbm(params, trial_seed)
+        block = _feature_block(graph, snr_grid * config.sigma, config.sigma)
         accs = np.empty((len(EXP4_MODELS), len(snr_grid)))
-        for j, snr in enumerate(snr_grid):
-            g = with_feature_params(graph, snr * config.sigma, config.sigma)
-            for i, (_, intensities) in enumerate(EXP4_MODELS):
-                schedule = LayerSchedule.from_intensities(intensities)
-                _, result = run_network(g, schedule)
-                accs[i, j] = result.accuracy
+        for i, (_, intensities) in enumerate(EXP4_MODELS):
+            schedule = LayerSchedule.from_intensities(intensities)
+            _, result = run_network(graph, schedule, block)
+            accs[i] = result.accuracy
         return accs
 
     with warnings.catch_warnings(record=True) as record:

@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfcx, gammaln, logsumexp
 
 from .errors import NumericalConsistencyError, ParameterError
 
@@ -58,6 +57,8 @@ __all__ = [
 
 
 def _log_sf(s: float) -> float:
+    from scipy.special import erfcx
+
     # scaled complementary error function keeps full precision in the tail:
     # log sf(s) = log(erfcx(s/sqrt(2))/2) - s^2/2 for s > 0
     if s <= 0.0:
@@ -176,6 +177,8 @@ class MomentPair:
 
 def _log_binom_pmf(n: int, log_p: float, log_1mp: float) -> np.ndarray:
     """log Binomial(n, p) pmf on 0..n given log p and log(1-p)."""
+    from scipy.special import gammaln
+
     k = np.arange(n + 1)
     return (gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
             + k * log_p + (n - k) * log_1mp)
@@ -284,6 +287,8 @@ def inverse_denominator_moment(x: float, t: float, n: int, m: int, k: int = 1) -
     the sequence diagnostics; evaluated by streaming log-sum-exp so that
     x near 0 or extreme t cannot underflow.
     """
+    from scipy.special import logsumexp
+
     if n < 0 or m < 0 or n + m < 1:
         raise ParameterError("need n, m >= 0 with n + m >= 1")
     if not 0.0 < x < 1.0:

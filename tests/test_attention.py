@@ -14,6 +14,9 @@ def test_psi_sign_branches():
     assert psi_sign(1.5, -2.0, 3.0) == -3.0
     # product exactly zero lands on the agreement branch
     assert psi_sign(0.0, -5.0, 3.0) == 3.0
+    # a product that underflows to -0.0 still has opposite signs
+    assert psi_sign(1e-200, -1e-200, 3.0) == -3.0
+    assert psi_sign(1e-200, np.array([-1e-200, 3e-200, 0.0]), 3.0).tolist() == [-3.0, 3.0, 3.0]
     with pytest.raises(ParameterError):
         psi_sign(1.0, 1.0, -0.5)
 

@@ -192,3 +192,62 @@ def test_with_feature_params_shares_topology():
     direct = sample_csbm(square_params(mu=4.0, sigma=2.0), 5)
     assert np.allclose(g2.features, direct.features)
     assert np.array_equal(g2.edges, direct.edges)
+
+
+def unique_lexsort_oracle(n, edges):
+    """Edge list and CSR arrays built the way from_edges used to build them."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    lo, hi = np.minimum(edges[:, 0], edges[:, 1]), np.maximum(edges[:, 0], edges[:, 1])
+    edges = np.unique(np.stack([lo, hi], axis=1), axis=0)
+    src = np.concatenate([edges[:, 0], edges[:, 1]])
+    dst = np.concatenate([edges[:, 1], edges[:, 0]])
+    order = np.lexsort((dst, src))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src[order], minlength=n), out=indptr[1:])
+    return edges, indptr, dst[order]
+
+
+@pytest.mark.parametrize("n, count", [(300, 4000), (3000, 20000), (5, 0), (2, 3)])
+def test_from_edges_matches_unique_lexsort(n, count):
+    rng = np.random.default_rng(n + count)
+    i = rng.integers(0, n, count)
+    j = (i + rng.integers(1, n, count)) % n          # never a self-loop
+    edges = np.stack([i, j], axis=1)
+    # duplicates, both orientations, shuffled
+    edges = np.concatenate([edges, edges[: count // 3, ::-1], edges[: count // 5]])
+    edges = edges[rng.permutation(edges.shape[0])]
+    g = FeaturedGraph.from_edges(np.zeros(n), np.zeros(n), edges)
+    want_edges, want_indptr, want_dst = unique_lexsort_oracle(n, edges)
+    for got, want in ((g.edges, want_edges), (g.indptr, want_indptr), (g.adj_dst, want_dst)):
+        assert got.dtype == np.int64 and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+# The two malformed files of the benchmark's roundtrip workload, then one
+# file per remaining rule; each with the line the error must name.
+GOOD_HEADER = "3 0.9 0.5 1.0 1.0 0\n"
+BAD_GRAPH_FILES = {
+    "feature-line": (GOOD_HEADER + "0 -1.5\n1 1.25\nx 2.0\n0 1\n1 2\n", 4),
+    "label": (GOOD_HEADER + "7 -1.5\n0 1.25\n1 2.0\n0 1\n1 2\n", 2),
+    "non-finite": (GOOD_HEADER + "0 -1.5\n1 inf\n1 2.0\n0 1\n", 3),
+    "short-node-block": (GOOD_HEADER + "0 -1.5\n1 1.25\n", 4),
+    "node-tokens": (GOOD_HEADER + "0 -1.5 9\n1 1.25\n1 2.0\n", 2),
+    "edge-line": (GOOD_HEADER + "0 -1.5\n1 1.25\n1 2.0\n0 1\n1 two\n", 6),
+    "edge-range": (GOOD_HEADER + "0 -1.5\n1 1.25\n1 2.0\n0 1\n\n2 3\n", 7),
+    "self-loop": (GOOD_HEADER + "0 -1.5\n1 1.25\n1 2.0\n1 1\n", 5),
+    "header": ("3 0.9 0.5 1.0 1.0 zero\n0 -1.5\n1 1.25\n1 2.0\n", 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_GRAPH_FILES))
+def test_load_graph_names_the_bad_line(name):
+    text, line = BAD_GRAPH_FILES[name]
+    with pytest.raises(ParameterError, match=f"line {line}:"):
+        load_graph(io.StringIO(text))
+
+
+def test_load_graph_skips_blank_lines_and_accepts_no_edges():
+    g = load_graph(io.StringIO(GOOD_HEADER + "0 -1.5\n1 1.25\n1 2.0\n\n1 2\n\n"))
+    assert g.edges.tolist() == [[1, 2]]
+    g = load_graph(io.StringIO(GOOD_HEADER + "0 -1.5\n1 1.25\n1 2.0\n"))
+    assert g.edges.shape == (0, 2) and g.labels.tolist() == [0, 1, 1]

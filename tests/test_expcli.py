@@ -2,15 +2,21 @@
 
 import math
 import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
-from csbmlab import ConfigError, PlotDataError
+import csbmlab
+from csbmlab import (ConfigError, CsbmParams, LayerSchedule, PlotDataError, run_network,
+                     sample_csbm, with_feature_params)
 from csbmlab.expcli import (build_config, emit_plot, read_csv,
                             run_experiment1, run_experiment2, run_experiment3,
                             run_experiment4, run_moment_validation,
                             run_oversmooth_axioms)
 from csbmlab.expcli.cli import main
+from csbmlab.expcli.runners import EXP4_MODELS, snr_unit
 
 
 def tiny(experiment, out_dir, **kw):
@@ -154,6 +160,50 @@ def test_exp4_schema_and_threshold(tmp_path):
     assert "snr_threshold=" in manifest
 
 
+def mean_and_stderr_cells(per_trial):
+    """The runner's (mean, stderr) of per-trial accuracies, as CSV cells."""
+    per_trial = np.asarray(per_trial)
+    stderr = per_trial.std(ddof=1) / math.sqrt(per_trial.size)
+    return [format(float(per_trial.mean()), ".12g"), format(float(stderr), ".12g")]
+
+
+def test_exp4_block_equals_per_snr_runs(tmp_path):
+    config = tiny("exp4", tmp_path, snr_points=4, snr_lo=0.3, snr_hi=3.0)
+    _, rows = read_csv(run_experiment4(config))
+    a, b = config.ab()
+    snr_grid = snr_unit(config.n) * np.logspace(math.log10(0.3), math.log10(3.0), 4)
+    accs = {}
+    for i in range(config.trials):
+        params = CsbmParams.from_ab(config.n, a, b, snr_grid[0] * config.sigma, config.sigma)
+        graph = sample_csbm(params, config.seed ^ i)
+        for snr in snr_grid:
+            g = with_feature_params(graph, snr * config.sigma, config.sigma)
+            for model, intensities in EXP4_MODELS:
+                _, result = run_network(g, LayerSchedule.from_intensities(intensities))
+                accs.setdefault((model, float(snr)), []).append(result.accuracy)
+    want = [[model, format(snr, ".12g")] + mean_and_stderr_cells(accs[model, snr])
+            for model, _ in EXP4_MODELS for snr in map(float, snr_grid)]
+    assert rows == want
+
+
+def test_exp2_block_equals_per_mu_runs(tmp_path):
+    config = tiny("exp2", tmp_path, mu_list=(0.5, 2.0, 5.0), t_grid=(0.0, 1.0, 5.0),
+                  layers=2)
+    _, rows = read_csv(run_experiment2(config))
+    a, b = config.ab()
+    want = []
+    for mu in config.mu_list:
+        for t in config.t_grid:
+            accs = []
+            for i in range(config.trials):
+                params = CsbmParams.from_ab(config.n, a, b, config.mu_list[0], config.sigma)
+                g = with_feature_params(sample_csbm(params, config.seed ^ i), mu, config.sigma)
+                _, result = run_network(g, LayerSchedule.from_intensities([t] * 2))
+                accs.append(result.accuracy)
+            want.append([format(mu, ".12g"), format(t, ".12g")] + mean_and_stderr_cells(accs))
+    assert rows == want
+
+
 def test_validate_runner_small_grid(tmp_path):
     config = tiny("validate-moments", tmp_path, mc_trials=20_000)
     grid = ((1.0, 0.0, 8, 4), (1.0, 1.0, 8, 4))
@@ -271,3 +321,43 @@ def test_cli_config_file(tmp_path):
                    f"out_dir = {tmp_path}\n")
     assert main(["exp1", "--config", str(cfg)]) == 0
     assert (tmp_path / "exp1.csv").exists()
+
+
+@pytest.mark.parametrize("name, text, line", [
+    ("bad-feature-line.txt", "3 0.9 0.5 1.0 1.0 0\n0 -1.5\n1 1.25\nx 2.0\n0 1\n1 2\n", 4),
+    ("bad-label.txt", "3 0.9 0.5 1.0 1.0 0\n7 -1.5\n0 1.25\n1 2.0\n0 1\n1 2\n", 2),
+])
+def test_cli_forward_on_bad_graph_exits_2(tmp_path, capsys, name, text, line):
+    path = tmp_path / name
+    path.write_text(text)
+    rc = main(["forward", "--graph", str(path), "--intensities", "0,0.5,0.5,5"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert f"line {line}:" in captured.err
+    assert "Traceback" not in captured.err + captured.out
+
+
+def test_cli_start_up_loads_no_scipy(tmp_path):
+    # importing the CLI, `gen`, and `forward` on a file that fails to parse
+    # never need scipy; it is imported where a layer or the moment law runs
+    bad = tmp_path / "bad.txt"
+    bad.write_text("3 0.9 0.5 1.0 1.0 0\n7 -1.5\n0 1.25\n1 2.0\n")
+    script = (
+        "import sys\n"
+        "import csbmlab.expcli.cli as cli\n"
+        "def scipy_loaded():\n"
+        "    return sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "print('import', scipy_loaded())\n"
+        f"assert cli.main(['gen', '--n', '60', '--a', '3', '--b', '2', '--mu', '1',"
+        f" '--sigma', '1', '--out', {str(tmp_path)!r}]) == 0\n"
+        "print('gen', scipy_loaded())\n"
+        f"assert cli.main(['forward', '--graph', {str(bad)!r}, '--intensities', '1']) == 2\n"
+        "print('forward', scipy_loaded())\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(csbmlab.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    lines = [line for line in done.stdout.splitlines() if line.endswith("]")]
+    assert lines == ["import []", "gen []", "forward []"]

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from csbmlab import (CsbmParams, FeaturedGraph, LayerSchedule, ScheduleError,
+from csbmlab import (CsbmParams, FeaturedGraph, LayerSchedule, ParameterError, ScheduleError,
                      SignSym, Uniform, XorNet, attention_coefficients,
                      forward_layer, gatstar_schedule, run_network, sample_csbm)
 
@@ -29,12 +29,111 @@ def hand_graph():
     return FeaturedGraph.from_edges(labels, features, edges)
 
 
-@pytest.mark.parametrize("spec", [Uniform(), SignSym(0.0), SignSym(1.3),
-                                  SignSym(40.0), XorNet(1.5, 0.2)])
+def edge_case_graph():
+    """The hand graph plus an edge 5-6 and an isolated node 7."""
+    edges = [(0, 1), (0, 2), (1, 2), (1, 3), (2, 4), (3, 4), (0, 4), (5, 6)]
+    return FeaturedGraph.from_edges([0, 0, 1, 1, 1, 0, 1, 0],
+                                    [1.2, -0.4, 0.9, -2.0, 3.3, 1.0, -2.0, 0.7], edges)
+
+
+# Columns of an (8, 4) feature block on edge_case_graph: the graph's own
+# features (node 5's only neighbour disagrees with it); zero centres and
+# zero neighbours; the first column negated; tiny features whose pairwise
+# products underflow.
+EDGE_CASE_BLOCK = np.array([
+    [1.2, -0.4, 0.9, -2.0, 3.3, 1.0, -2.0, 0.7],
+    [0.0, -0.4, 0.0, -2.0, 3.3, 0.0, 0.0, 0.0],
+    [-1.2, 0.4, -0.9, 2.0, -3.3, -1.0, 2.0, -0.7],
+    [1e-200, -1e-200, 3e-200, -2e-200, 5e-201, 1e-200, 2e-200, 0.0],
+]).T
+
+LAYER_SPECS = [Uniform(), SignSym(0.0), SignSym(1.3), SignSym(40.0), SignSym(400.0),
+               SignSym(1000.0), XorNet(1.5, 0.2)]
+
+
+@pytest.mark.parametrize("spec", LAYER_SPECS)
 def test_forward_layer_matches_brute_force(spec):
     g = hand_graph()
     out = forward_layer(g, g.features, spec)
     assert out == pytest.approx(brute_force_layer(g, g.features, spec), abs=1e-12)
+
+
+@pytest.mark.parametrize("spec", LAYER_SPECS)
+def test_feature_block_matches_columns_and_brute_force(spec):
+    g = edge_case_graph()
+    with np.errstate(all="raise"):
+        out = forward_layer(g, EDGE_CASE_BLOCK, spec)
+    assert out.shape == EDGE_CASE_BLOCK.shape
+    for c in range(EDGE_CASE_BLOCK.shape[1]):
+        column = EDGE_CASE_BLOCK[:, c]
+        single = forward_layer(g, column, spec)
+        assert np.array_equal(out[:, c], single)
+        scale = np.abs(column).max()
+        assert single == pytest.approx(brute_force_layer(g, column, spec),
+                                       rel=1e-12, abs=1e-12 * scale)
+    # the isolated node outputs 0 in every column
+    assert out[7].tolist() == [0.0] * EDGE_CASE_BLOCK.shape[1]
+
+
+def test_sign_zero_intensity_equals_uniform_on_block():
+    g = edge_case_graph()
+    assert np.array_equal(forward_layer(g, EDGE_CASE_BLOCK, SignSym(0.0)),
+                          forward_layer(g, EDGE_CASE_BLOCK, Uniform()))
+
+
+@pytest.mark.parametrize("t", [0.7, 5.0, 400.0, 1000.0])
+def test_zero_product_counts_as_agreement(t):
+    # star: centre 0 against leaves -1, 2, 0, then the same leaves around a
+    # positive and a negative centre
+    star = [(0, 1), (0, 2), (0, 3)]
+    e = math.exp(-2.0 * t)
+    for centre, expected in ((0.0, 1.0 / 3.0),
+                             (1.5, (2.0 - e) / (2.0 + e)),
+                             (-1.5, (-1.0 + 2.0 * e) / (2.0 + e))):
+        g = FeaturedGraph.from_edges([1, 0, 1, 0], [centre, -1.0, 2.0, 0.0], star)
+        assert forward_layer(g, g.features, SignSym(t))[0] == pytest.approx(
+            expected, rel=1e-15)
+
+
+def test_all_disagreeing_neighbours_average_at_any_intensity():
+    # every neighbour of node 5 disagrees: equal scores, plain average
+    g = edge_case_graph()
+    for t in (1.0, 400.0, 1000.0):
+        out = forward_layer(g, g.features, SignSym(t))
+        assert out[5] == -2.0 and out[6] == 1.0
+
+
+def test_underflowing_product_is_not_agreement():
+    # 1e-200 * -1e-200 rounds to -0.0; the signs still disagree
+    g = FeaturedGraph.from_edges([1, 0, 1], [1e-200, -1e-200, 3e-200], [(0, 1), (0, 2)])
+    e = math.exp(-10.0)
+    out = forward_layer(g, g.features, SignSym(5.0))
+    assert out[0] == pytest.approx((3e-200 - e * 1e-200) / (1.0 + e), rel=1e-14)
+    assert out[0] == pytest.approx(2.9998e-200, rel=1e-4)
+    assert out[0] == pytest.approx(brute_force_layer(g, g.features, SignSym(5.0))[0],
+                                   rel=1e-14)
+
+
+def test_run_network_block_matches_per_column_runs():
+    params = CsbmParams(n=120, p=0.5, q=0.25, mu=0.6, sigma=1.0)
+    g = sample_csbm(params, 3)
+    block = np.stack([g.features, -g.features, 3.0 * g.features, np.zeros(g.n)], axis=1)
+    schedule = LayerSchedule.from_intensities([0.0, 0.5, 5.0])
+    trace, result = run_network(g, schedule, block)
+    assert len(trace) == 4 and trace.final.shape == block.shape
+    assert result.outputs.shape == block.shape
+    assert result.accuracy.shape == (4,) and result.perfect.shape == (4,)
+    for c in range(block.shape[1]):
+        trace_c, result_c = run_network(g, schedule, block[:, c])
+        for snap, snap_c in zip(trace.snapshots, trace_c.snapshots):
+            assert np.array_equal(snap[:, c], snap_c)
+        assert isinstance(result_c.accuracy, float) and isinstance(result_c.perfect, bool)
+        assert result.accuracy[c] == result_c.accuracy
+        assert result.perfect[c] == result_c.perfect
+    # an all-zero column reads out 0 everywhere: nothing is correct
+    assert result.accuracy[3] == 0.0
+    _, own = run_network(g, schedule)
+    assert own.accuracy == result.accuracy[0]
 
 
 def test_forward_layer_matches_brute_force_on_sample():
@@ -68,6 +167,18 @@ def test_isolated_node_outputs_zero_and_warns():
     # sign output 0 never matches a +-1 label
     assert result.outputs[0] == 0
     assert result.accuracy < 1.0 and not result.perfect
+    block = np.stack([g.features, -g.features], axis=1)
+    _, result = run_network(g, LayerSchedule.from_intensities([1.0]), block)
+    assert result.outputs[0].tolist() == [0, 0]
+    assert result.warnings and not result.perfect.any()
+
+
+def test_feature_block_shape_is_checked():
+    g = hand_graph()
+    with pytest.raises(ParameterError):
+        forward_layer(g, np.zeros((g.n + 1, 2)), Uniform())
+    with pytest.raises(ParameterError):
+        run_network(g, LayerSchedule((Uniform(),)), np.zeros((g.n, 2, 2)))
 
 
 def test_uniform_layer_perfect_when_neighbour_means_align():
