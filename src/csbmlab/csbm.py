@@ -351,10 +351,13 @@ def dump_graph(graph: FeaturedGraph, path_or_file) -> None:
     p = graph.params
     lines = [f"{p.n} {float(p.p)!r} {float(p.q)!r} {float(p.mu)!r} "
              f"{float(p.sigma)!r} {graph.seed}"]
-    labels = graph.labels
-    feats = graph.features
-    lines.extend(f"{int(labels[i])} {float(feats[i])!r}" for i in range(graph.n))
-    lines.extend(f"{i} {j}" for i, j in graph.edges)
+    lines.extend(f"{label} {feat!r}"
+                 for label, feat in zip(graph.labels.tolist(), graph.features.tolist()))
+    # Python ints format several times faster than numpy scalars; converting
+    # the edges a block at a time keeps the lists' memory small
+    edges, block = graph.edges, 1024
+    for start in range(0, edges.shape[0], block):
+        lines.extend(f"{i} {j}" for i, j in edges[start:start + block].tolist())
     text = "\n".join(lines) + "\n"
     if isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__"):
         with open(path_or_file, "w", newline="\n") as fh:

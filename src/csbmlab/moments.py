@@ -6,15 +6,17 @@ and sign-agreement scoring at intensity ``t``, the aggregated output is
 
     X' = sum_j w_j X_j / sum_j w_j,   w_j = exp(+-t)  by sign agreement.
 
-Conditioning on the centre's sign and on how many neighbours in each class
-land on each side of zero makes the law of X' explicit: given the counts,
-the softmax denominator is a constant and the neighbour features are
-independent half-line truncations of their Gaussians. ``closed_form_mean``
-and ``closed_form_var`` sum that conditional decomposition exactly over the
-(deg_p+1) x (deg_q+1) count grid -- a finite closed form built from the
-half-line Gaussian moments, with binomial count weights assembled in log
-space so extreme tail probabilities (z ~ e^-200 at high SNR) cannot
-underflow the sum.
+Conditioning on the centre's sign and on k, the number of neighbours whose
+feature is non-negative, makes the law of X' explicit: given k the softmax
+denominator is a constant, and the neighbour features are independent
+half-line truncations of their Gaussians. Given k, the output's mean is
+linear in r, the same-class share of k, so each k needs only the
+conditional means of the four group counts and Var(r | k), which is
+exactly zero where k fixes r.
+``closed_form_moments`` sums that decomposition exactly over k = 0..deg --
+a finite closed form built from the half-line Gaussian moments, with
+binomial count weights assembled in log space so extreme tail
+probabilities (z ~ e^-200 at high SNR) cannot underflow the sum.
 
 The product-form expressions (an inverse-denominator binomial sum times a
 linear/quadratic combination of the tail scalars) are kept alongside as
@@ -187,11 +189,14 @@ def _log_binom_pmf(n: int, log_p: float, log_1mp: float) -> np.ndarray:
 def _conditional_law(inputs: MomentInputs) -> tuple[float, float]:
     """Exact (mean, second moment) of the aggregated output.
 
-    Sums the conditional decomposition over the centre sign and the
-    per-class positive-feature counts. All count probabilities are built in
-    log space; the bounded conditional group moments multiply exponentiated
-    weights, so negligible count cells contribute exact zeros rather than
-    NaNs even when z underflows.
+    Sums the conditional decomposition over the centre sign and over k, the
+    number of neighbours with a non-negative feature. Given k the softmax
+    denominator is a constant, and the output's mean is linear in r, the
+    same-class share of k, so each k needs only the conditional means of
+    the four group counts and Var(r | k). The count pmfs are built in log
+    space and the conditional means are convolutions of non-negative terms,
+    so negligible counts contribute exact zeros rather than NaNs even when
+    z underflows, and no sum cancels.
     """
     mu, sigma, t = inputs.mu, inputs.sigma, inputs.t
     np_, nq = inputs.deg_p, inputs.deg_q
@@ -204,74 +209,67 @@ def _conditional_law(inputs: MomentInputs) -> tuple[float, float]:
     ry_z = math.exp(log_y - log_z)            # y / z
     ry_1mz = math.exp(log_y - log_1mz)        # y / (1-z)
     m2 = mu * mu + sigma * sigma
-    intra_pos = (mu + ry_1mz, m2 + mu * ry_1mz)      # E[X | X>=0], E[X^2 | X>=0], X ~ N(+mu)
-    intra_neg = (mu - ry_z, m2 - mu * ry_z)          # E[X | X<0]
-    inter_pos = (-mu + ry_z, m2 - mu * ry_z)         # X ~ N(-mu)
-    inter_neg = (-mu - ry_1mz, m2 + mu * ry_1mz)
+    groups = ((mu + ry_1mz, m2 + mu * ry_1mz),      # X ~ N(+mu) given X >= 0
+              (mu - ry_z, m2 - mu * ry_z),          # X ~ N(+mu) given X < 0
+              (-mu + ry_z, m2 - mu * ry_z),         # X ~ N(-mu) given X >= 0
+              (-mu - ry_1mz, m2 + mu * ry_1mz))     # X ~ N(-mu) given X < 0
+    m_ip, m_in, m_qp, m_qn = (g[0] for g in groups)
+    v_ip, v_in, v_qp, v_qn = (g[1] - g[0] ** 2 for g in groups)
 
-    # Joint count probabilities: r same-class and s cross-class neighbours
-    # with non-negative features.
-    lp_r = _log_binom_pmf(np_, log_1mz, log_z)[:, None]
-    lp_s = _log_binom_pmf(nq, log_z, log_1mz)[None, :]
-    prob = np.exp(lp_r + lp_s)
-    r = np.arange(np_ + 1, dtype=np.float64)[:, None]
-    s = np.arange(nq + 1, dtype=np.float64)[None, :]
-    pos = r + s
-    neg = (np_ + nq) - pos
-    total = float(np_ + nq)
-    # The common factor exp(t) cancels out of every ratio below, so the
-    # per-branch weight pair is normalised to (1, e^-2t); e^-2t may underflow
-    # to an exact zero at extreme t, in which case the single corner cell
-    # whose members all carry the small weight degenerates to a uniform
-    # average and is patched explicitly.
+    # r ~ Bin(deg_p, 1-z) same-class and s ~ Bin(deg_q, z) cross-class
+    # neighbours have a non-negative feature; k = r + s.
+    p = np.exp(_log_binom_pmf(np_, log_1mz, log_z))
+    q = np.exp(_log_binom_pmf(nq, log_z, log_1mz))
+    r = np.arange(np_ + 1, dtype=np.float64)
+    s = np.arange(nq + 1, dtype=np.float64)
+    dr = r - float(r @ p)
+    prob_k = np.convolve(p, q)
+    sums = np.array([np.convolve(r * p, q), np.convolve((np_ - r) * p, q),
+                     np.convolve(p, s * q), np.convolve(p, (nq - s) * q),
+                     np.convolve(dr * p, q), np.convolve(dr * dr * p, q)])
+    e_r, e_nr, e_s, e_ns, e_dr, e_dr2 = np.divide(
+        sums, prob_k, out=np.zeros_like(sums), where=prob_k > 0.0)
+    k = np.arange(np_ + nq + 1, dtype=np.float64)
+    # where k fixes r the centred difference would leave pure rounding
+    fixed = np.minimum(np_, k) == np.maximum(0, k - nq)
+    var_r = np.where(fixed, 0.0, np.maximum(e_dr2 - e_dr * e_dr, 0.0))
+
+    # Rows: centre >= 0, centre < 0, and the uniform average. The common
+    # factor exp(t) cancels out of every ratio, so each centre sign weighs
+    # agreeing and disagreeing neighbours (1, e^-2t).
     w_small = math.exp(-2.0 * t) if t < 350.0 else 0.0
-
-    def branch(w_match, w_mismatch, means, variances):
-        m_ip, m_in, m_qp, m_qn = means
-        v_ip, v_in, v_qp, v_qn = variances
-        denom = pos * w_match + neg * w_mismatch
-        lin = (r * w_match * m_ip + (np_ - r) * w_mismatch * m_in
-               + s * w_match * m_qp + (nq - s) * w_mismatch * m_qn)
-        quad = (r * w_match**2 * v_ip + (np_ - r) * w_mismatch**2 * v_in
-                + s * w_match**2 * v_qp + (nq - s) * w_mismatch**2 * v_qn)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            ratio_mean = lin / denom
-            ratio_second = (quad + lin * lin) / (denom * denom)
-        corner = denom == 0.0
-        if corner.any():
-            lin_u = (r * m_ip + (np_ - r) * m_in + s * m_qp + (nq - s) * m_qn)
-            quad_u = (r * v_ip + (np_ - r) * v_in + s * v_qp + (nq - s) * v_qn)
-            ratio_mean = np.where(corner, lin_u / total, ratio_mean)
-            ratio_second = np.where(corner, (quad_u + lin_u * lin_u) / total**2,
-                                    ratio_second)
-        return float(np.sum(prob * ratio_mean)), float(np.sum(prob * ratio_second))
-
-    means_by_group = (intra_pos[0], intra_neg[0], inter_pos[0], inter_neg[0])
-    vars_by_group = tuple(m[1] - m[0] ** 2
-                          for m in (intra_pos, intra_neg, inter_pos, inter_neg))
-    m_hi, s_hi = branch(1.0, w_small, means_by_group, vars_by_group)   # centre >= 0
-    m_lo, s_lo = branch(w_small, 1.0, means_by_group, vars_by_group)   # centre < 0
-    p_hi, p_lo = math.exp(log_1mz), math.exp(log_z)
-    return p_hi * m_hi + p_lo * m_lo, p_hi * s_hi + p_lo * s_lo
+    w_pos = np.array([[1.0], [w_small], [1.0]])
+    w_neg = np.array([[w_small], [1.0], [1.0]])
+    lin = w_pos * (m_ip * e_r + m_qp * e_s) + w_neg * (m_in * e_nr + m_qn * e_ns)
+    quad = (w_pos * w_pos * (v_ip * e_r + v_qp * e_s)
+            + w_neg * w_neg * (v_in * e_nr + v_qn * e_ns))
+    slope = w_pos * (m_ip - m_qp) - w_neg * (m_in - m_qn)
+    denom = w_pos * k + w_neg * ((np_ + nq) - k)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        mean_k = lin / denom
+        second_k = (quad + lin * lin + slope * slope * var_r) / (denom * denom)
+    # Where every neighbour disagrees with the centre (k = 0 above zero,
+    # k = deg below) their common weight cancels and the output is the
+    # uniform average. Taking that row also covers e^-2t underflowing to 0
+    # (t >= 350) and e^-4t in the squared denominator underflowing (t > ~177).
+    mean_k[0, 0], mean_k[1, -1] = mean_k[2, 0], mean_k[2, -1]
+    second_k[0, 0], second_k[1, -1] = second_k[2, 0], second_k[2, -1]
+    by_sign = np.array([math.exp(log_1mz), math.exp(log_z)])
+    return float(by_sign @ (mean_k[:2] @ prob_k)), float(by_sign @ (second_k[:2] @ prob_k))
 
 
 def closed_form_mean(inputs: MomentInputs) -> float:
     """Exact mean of the post-layer feature of a class-1 centre node."""
-    return _conditional_law(inputs)[0]
+    return closed_form_moments(inputs).mu_prime
 
 
 def closed_form_var(inputs: MomentInputs) -> float:
     """Exact variance of the post-layer feature; clamps tiny negative residue."""
-    mean, second = _conditional_law(inputs)
-    var = second - mean * mean
-    if var < -1e-9:
-        raise NumericalConsistencyError(
-            f"variance evaluated to {var:.3e} < -1e-9 for {inputs}")
-    return max(var, 0.0)
+    return closed_form_moments(inputs).var_prime
 
 
 def closed_form_moments(inputs: MomentInputs) -> MomentPair:
-    """Exact mean and variance in one pass over the count grid."""
+    """Exact mean and variance in one pass over the positive-neighbour count."""
     mean, second = _conditional_law(inputs)
     var = second - mean * mean
     if var < -1e-9:
@@ -462,18 +460,21 @@ def monte_carlo_moments(inputs: MomentInputs, trials: int, seed: int,
         size = min(chunk, trials - done)
         rng = np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), chunk_index]))
         centre = rng.normal(class_sign * mu, sigma, size=size)
-        nbrs = np.concatenate(
-            [rng.normal(class_sign * mu, sigma, size=(size, np_)),
-             rng.normal(-class_sign * mu, sigma, size=(size, nq))], axis=1)
-        agree = np.sign(centre)[:, None] * np.sign(nbrs) >= 0.0
-        w = np.where(agree, 1.0, w_mismatch)
-        wsum = w.sum(axis=1)
+        sign = np.sign(centre)[:, None]
+        wsum = np.zeros(size)
+        wx = np.zeros(size)
+        xsum = np.zeros(size)
+        for loc, count in ((class_sign * mu, np_), (-class_sign * mu, nq)):
+            block = rng.normal(loc, sigma, size=(size, count))
+            w = np.where(block * sign < 0.0, w_mismatch, 1.0)
+            wsum += w.sum(axis=1)
+            wx += np.einsum("ij,ij->i", w, block)
+            xsum += block.sum(axis=1)
         # all-mismatch rows with an underflowed weight: the softmax limit is
         # a uniform average, mirroring the closed form's corner handling
         dead = wsum == 0.0
         agg[done:done + size] = np.where(
-            dead, nbrs.mean(axis=1),
-            (w * nbrs).sum(axis=1) / np.where(dead, 1.0, wsum))
+            dead, xsum / (np_ + nq), wx / np.where(dead, 1.0, wsum))
         done += size
         chunk_index += 1
     mean = float(agg.mean())

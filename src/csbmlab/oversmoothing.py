@@ -34,6 +34,10 @@ __all__ = [
 # log-gamma values below this are treated as numerically dead and excluded
 # from the decay fit.
 _GAMMA_FLOOR = 1e-300
+# A trace that has fallen to this fraction of its first value is at the
+# rounding floor of float64 averaging, where it stops decaying and would
+# flatten the fitted slope; the fit stops there too.
+_GAMMA_RELATIVE_FLOOR = 1e-12
 
 
 def gamma(features) -> float:
@@ -153,7 +157,7 @@ def fit_decay(trace: SimilarityTrace, threshold: float = 0.01) -> DecayFit:
     values = np.asarray(trace.gamma_values, dtype=np.float64)
     if values.size < 3:
         raise ParameterError("need a trace of at least 3 values to fit")
-    alive = values > _GAMMA_FLOOR
+    alive = (values > _GAMMA_FLOOR) & (values > _GAMMA_RELATIVE_FLOOR * values[0])
     if alive.all():
         prefix = values
         truncated = False

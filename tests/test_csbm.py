@@ -1,5 +1,6 @@
 """Sampler correctness: distributional checks against direct recounts."""
 
+import dataclasses
 import io
 import math
 
@@ -182,6 +183,27 @@ def test_dump_load_round_trip():
     assert np.array_equal(loaded.features, g.features)
     assert np.array_equal(loaded.edges, g.edges)
     assert loaded.params == g.params
+
+
+def per_element_dump_oracle(graph):
+    """Graph text formatted one numpy element at a time, as dump_graph used to."""
+    p = graph.params
+    lines = [f"{p.n} {float(p.p)!r} {float(p.q)!r} {float(p.mu)!r} "
+             f"{float(p.sigma)!r} {graph.seed}"]
+    lines.extend(f"{int(graph.labels[i])} {float(graph.features[i])!r}"
+                 for i in range(graph.n))
+    lines.extend(f"{i} {j}" for i, j in graph.edges)
+    return "\n".join(lines) + "\n"
+
+
+def test_dump_matches_per_element_formatting():
+    g = sample_csbm(CsbmParams.from_ab(400, 3.0, 2.0, 4.0, 10.0), 11)
+    # extreme, negative-zero and subnormal features format like the rest
+    g = dataclasses.replace(g, features=np.concatenate(
+        [[-0.0, 5e-324, 1e300, -1.0 / 3.0], g.features[4:]]))
+    buf = io.StringIO()
+    dump_graph(g, buf)
+    assert buf.getvalue() == per_element_dump_oracle(g)
 
 
 def test_with_feature_params_shares_topology():

@@ -299,6 +299,18 @@ def test_cli_moments_with_oracle(capsys):
     assert float(values["z_score"]) < 6.0
 
 
+def test_cli_validate_reproduces_the_demo_csv(tmp_path):
+    # the committed demo CSV pins the law's and the Monte Carlo's summation
+    # order: a change that moves a digit must regenerate it and bump
+    # TOOL_VERSION
+    committed = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                             "out", "demo", "validate.csv")
+    rc = main(["validate", "--trials", "20000", "--seed", "1", "--out", str(tmp_path)])
+    assert rc == 0
+    with open(committed, "rb") as fh:
+        assert (tmp_path / "validate.csv").read_bytes() == fh.read()
+
+
 def test_cli_exp_runner_and_plot(tmp_path):
     rc = main(["exp1", "--n", "200", "--trials", "2", "--seed", "1",
                "--t-grid", "0,4", "--out", str(tmp_path), "--workers", "1"])

@@ -13,6 +13,7 @@ from csbmlab import (MomentInputs, ParameterError,
                      log_normal_upper_tail, monte_carlo_moments, normal_upper_tail,
                      sequence_diagnostics, snr_gain, snr_gain_factor, tail_scalars,
                      truncated_moments)
+from csbmlab.moments import McMoments, _conditional_law, _log_binom_pmf, _log_sf
 
 
 # --- tail probabilities ----------------------------------------------------
@@ -192,6 +193,155 @@ def test_class_mirror_antisymmetry():
     minus = monte_carlo_moments(inputs, trials=100_000, seed=31, class_sign=-1)
     se = math.sqrt(plus.se_mean**2 + minus.se_mean**2)
     assert abs(plus.mean + minus.mean) < 4 * se
+
+
+# --- the sum over k against the count grid and the fused Monte Carlo ----------
+
+def grid_law_oracle(inputs):
+    """(mean, second moment) summed over the (deg_p+1) x (deg_q+1) grid of
+    per-class positive counts: the law's earlier implementation."""
+    mu, sigma, t = inputs.mu, inputs.sigma, inputs.t
+    np_, nq = inputs.deg_p, inputs.deg_q
+    log_z = _log_sf(mu / sigma)
+    log_1mz = _log_sf(-mu / sigma)
+    log_y = (math.log(sigma) - 0.5 * math.log(2 * math.pi)
+             - (mu * mu) / (2 * sigma * sigma))
+    ry_z = math.exp(log_y - log_z)
+    ry_1mz = math.exp(log_y - log_1mz)
+    m2 = mu * mu + sigma * sigma
+    groups = ((mu + ry_1mz, m2 + mu * ry_1mz), (mu - ry_z, m2 - mu * ry_z),
+              (-mu + ry_z, m2 - mu * ry_z), (-mu - ry_1mz, m2 + mu * ry_1mz))
+    lp_r = _log_binom_pmf(np_, log_1mz, log_z)[:, None]
+    lp_s = _log_binom_pmf(nq, log_z, log_1mz)[None, :]
+    prob = np.exp(lp_r + lp_s)
+    r = np.arange(np_ + 1, dtype=np.float64)[:, None]
+    s = np.arange(nq + 1, dtype=np.float64)[None, :]
+    pos = r + s
+    neg = (np_ + nq) - pos
+    total = float(np_ + nq)
+    w_small = math.exp(-2.0 * t) if t < 350.0 else 0.0
+
+    def branch(w_match, w_mismatch):
+        (m_ip, m_in, m_qp, m_qn) = (g[0] for g in groups)
+        (v_ip, v_in, v_qp, v_qn) = (g[1] - g[0] ** 2 for g in groups)
+        denom = pos * w_match + neg * w_mismatch
+        lin = (r * w_match * m_ip + (np_ - r) * w_mismatch * m_in
+               + s * w_match * m_qp + (nq - s) * w_mismatch * m_qn)
+        quad = (r * w_match**2 * v_ip + (np_ - r) * w_mismatch**2 * v_in
+                + s * w_match**2 * v_qp + (nq - s) * w_mismatch**2 * v_qn)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            ratio_mean = lin / denom
+            ratio_second = (quad + lin * lin) / (denom * denom)
+        corner = denom == 0.0
+        if corner.any():
+            lin_u = r * m_ip + (np_ - r) * m_in + s * m_qp + (nq - s) * m_qn
+            quad_u = r * v_ip + (np_ - r) * v_in + s * v_qp + (nq - s) * v_qn
+            ratio_mean = np.where(corner, lin_u / total, ratio_mean)
+            ratio_second = np.where(corner, (quad_u + lin_u * lin_u) / total**2,
+                                    ratio_second)
+        return float(np.sum(prob * ratio_mean)), float(np.sum(prob * ratio_second))
+
+    m_hi, s_hi = branch(1.0, w_small)
+    m_lo, s_lo = branch(w_small, 1.0)
+    p_hi, p_lo = math.exp(log_1mz), math.exp(log_z)
+    return p_hi * m_hi + p_lo * m_lo, p_hi * s_hi + p_lo * s_lo
+
+
+def concatenating_monte_carlo_oracle(inputs, trials, seed, class_sign=1):
+    """The Monte Carlo aggregator that concatenates both neighbour blocks:
+    same draws as ``monte_carlo_moments``, other reduction order."""
+    mu, sigma, t = inputs.mu, inputs.sigma, inputs.t
+    np_, nq = inputs.deg_p, inputs.deg_q
+    w_mismatch = math.exp(-2.0 * t) if t < 350.0 else 0.0
+    chunk = max(1, int(2e7 // (np_ + nq + 1)))
+    agg = np.empty(trials)
+    done = chunk_index = 0
+    while done < trials:
+        size = min(chunk, trials - done)
+        rng = np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), chunk_index]))
+        centre = rng.normal(class_sign * mu, sigma, size=size)
+        nbrs = np.concatenate(
+            [rng.normal(class_sign * mu, sigma, size=(size, np_)),
+             rng.normal(-class_sign * mu, sigma, size=(size, nq))], axis=1)
+        agree = np.sign(centre)[:, None] * np.sign(nbrs) >= 0.0
+        w = np.where(agree, 1.0, w_mismatch)
+        wsum = w.sum(axis=1)
+        dead = wsum == 0.0
+        agg[done:done + size] = np.where(
+            dead, nbrs.mean(axis=1), (w * nbrs).sum(axis=1) / np.where(dead, 1.0, wsum))
+        done += size
+        chunk_index += 1
+    mean = float(agg.mean())
+    var = float(agg.var(ddof=1))
+    m4 = float(np.mean((agg - mean) ** 4))
+    return McMoments(mean=mean, var=var,
+                     se_mean=float(agg.std(ddof=1) / math.sqrt(trials)),
+                     se_var=math.sqrt(max(m4 - var * var * (trials - 3) / (trials - 1), 0.0)
+                                      / trials),
+                     trials=trials)
+
+
+@pytest.mark.parametrize("degrees", [(1, 0), (0, 1), (5, 0), (0, 5), (3, 3), (20, 10),
+                                     (100, 40), (126, 94), (320, 160)])
+def test_sum_over_k_matches_count_grid(degrees):
+    dp, dq = degrees
+    for ms in (0.0, 0.2, 1.0, 3.0, 20.0, 40.0):
+        for sigma in (1.0, 2.5):
+            mu = ms * sigma
+            scale = mu + sigma
+            for t in (0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 400.0, 1000.0):
+                inputs = MomentInputs(mu, sigma, t, dp, dq)
+                mean, second = _conditional_law(inputs)
+                want_mean, want_second = grid_law_oracle(inputs)
+                assert abs(mean - want_mean) <= 1e-13 * scale, inputs
+                assert abs(second - want_second) <= 1e-13 * scale**2, inputs
+
+
+@pytest.mark.parametrize("t", [10.0, 20.0])
+def test_one_neighbour_law_is_its_feature(t):
+    # a single neighbour is the output whatever its weight: expanding lin^2
+    # into raw count moments once gave a second moment of 1.175 here
+    for dp, dq, sign in ((1, 0, 1.0), (0, 1, -1.0)):
+        inputs = MomentInputs(0.2, 1.0, t, dp, dq)
+        pair = closed_form_moments(inputs)
+        assert pair.mu_prime == pytest.approx(sign * 0.2, rel=1e-13)
+        assert pair.var_prime == pytest.approx(1.0, rel=1e-13)
+        mean, second = grid_law_oracle(inputs)
+        assert abs(pair.mu_prime - mean) <= 1e-13 * 1.2
+        assert abs(pair.var_prime + pair.mu_prime**2 - second) <= 1e-13 * 1.2**2
+
+
+@pytest.mark.parametrize("t", [180.0, 200.0, 300.0, 349.0])
+def test_law_stays_finite_where_the_small_weight_squared_underflows(t):
+    # e^-4t underflows for t > ~177 while e^-2t does not until 350; the
+    # law has converged to its t -> infinity limit long before
+    for ms, dp, dq in ((1.0, 8, 4), (0.2, 1, 0), (3.0, 20, 10)):
+        got = closed_form_moments(MomentInputs(ms, 1.0, t, dp, dq))
+        limit = closed_form_moments(MomentInputs(ms, 1.0, 1000.0, dp, dq))
+        assert got.mu_prime == pytest.approx(limit.mu_prime, rel=1e-12)
+        assert got.var_prime == pytest.approx(limit.var_prime, rel=1e-12)
+
+
+def test_mean_and_var_are_the_moments_fields():
+    inputs = MomentInputs(1.0, 2.0, 1.5, 12, 7)
+    pair = closed_form_moments(inputs)
+    assert (closed_form_mean(inputs), closed_form_var(inputs)) == (pair.mu_prime, pair.var_prime)
+
+
+@pytest.mark.parametrize("cell", [
+    (1.0, 1.0, 10, 5, 1), (0.2, 2.0, 20, 10, 1), (3.0, 0.5, 100, 40, 1),
+    (1.0, 1.0, 10, 5, -1), (0.8, 1.7, 12, 0, 1), (0.8, 1.7, 12, 0, -1),
+    (1.0, 500.0, 8, 4, 1), (0.2, 500.0, 3, 2, 1), (0.2, 500.0, 3, 2, -1),
+    (0.5, 0.0, 0, 6, 1)])
+def test_fused_monte_carlo_matches_concatenating_aggregator(cell):
+    # at t = 500 the mismatch weight underflows to 0; with mu = 0.2 and five
+    # neighbours about one row in 32 has every weight at 0
+    mu, t, dp, dq, class_sign = cell
+    inputs = MomentInputs(mu, 1.0, t, dp, dq)
+    got = monte_carlo_moments(inputs, trials=20_000, seed=41, class_sign=class_sign)
+    want = concatenating_monte_carlo_oracle(inputs, 20_000, 41, class_sign)
+    for field in ("mean", "var", "se_mean", "se_var"):
+        assert getattr(got, field) == pytest.approx(getattr(want, field), rel=1e-12, abs=0.0)
 
 
 # --- large-degree limit -------------------------------------------------------

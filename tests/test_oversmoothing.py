@@ -81,6 +81,19 @@ def test_fit_decay_truncates_at_zero():
     assert fit.decay_rate == pytest.approx(math.log(2.0), abs=1e-9)
 
 
+def test_fit_decay_stops_at_the_rounding_floor():
+    # geometric down to ~1e-16 of its start, then flat: the flat tail is
+    # rounding, not signal, and must not bend the fitted rate
+    ratio = 0.5
+    values = [3.0 * ratio**k for k in range(54)]
+    values += [values[-1]] * 40
+    fit = fit_decay(SimilarityTrace(tuple(values), "synthetic", 10))
+    assert values[-1] / values[0] < 2e-16
+    assert fit.truncated
+    assert fit.layers_used == 40
+    assert fit.decay_rate == pytest.approx(-math.log(ratio), rel=1e-9)
+
+
 def test_fit_decay_needs_three_points():
     with pytest.raises(ParameterError):
         fit_decay(SimilarityTrace((1.0, 0.5), "synthetic", 10))
