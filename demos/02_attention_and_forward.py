@@ -1,4 +1,4 @@
-"""One aggregation layer, step by step, then a full multi-layer run.
+"""One aggregation layer, by hand on a star, then a full multi-layer run.
 
 Each layer recomputes softmax coefficients from its input features and
 replaces every node's feature by the weighted average of its neighbours'.
@@ -8,20 +8,22 @@ intensity is plain graph convolution.
 
 import math
 
-import numpy as np
+from csbmlab import (CsbmParams, FeaturedGraph, LayerSchedule, SignSym, forward_layer,
+                     run_network, sample_csbm)
 
-from csbmlab import (CsbmParams, LayerSchedule, SignSym, attention_coefficients,
-                     psi_sign, run_network, sample_csbm)
+# a 4-node star: centre 0 (feature 1.0) joined to leaves with 2.0, -1.0, 3.0
+star = FeaturedGraph.from_edges([1, 1, 0, 1], [1.0, 2.0, -1.0, 3.0],
+                                [(0, 1), (0, 2), (0, 3)])
+t = 1.0
+out = forward_layer(star, star.features, SignSym(t))
 
-# the scoring rule itself
-print("score(1.5, 2.0, t=3)  =", psi_sign(1.5, 2.0, 3.0), " (signs agree)")
-print("score(1.5, -2.0, t=3) =", psi_sign(1.5, -2.0, 3.0), "(signs differ)")
-
-# coefficients for one node: e^t per agreeing neighbour, e^-t otherwise
-feats = np.array([1.0, 2.0, -1.0, 3.0])
-row = attention_coefficients(feats, 0, [1, 2, 3], SignSym(1.0))
-print("coefficients for node 0:", np.round(row.coefficients, 4),
-      "(sum", row.coefficients.sum(), ")")
+# by hand: score +t for a leaf that agrees in sign with the centre, -t for
+# one that does not; softmax weights e^t and e^-t, then the weighted average
+agree, disagree = math.exp(t), math.exp(-t)
+by_hand = (agree * 2.0 + disagree * -1.0 + agree * 3.0) / (2 * agree + disagree)
+print(f"centre after one SignSym({t:g}) layer: {out[0]:.12f}")
+print(f"e^t / e^-t weighted average by hand: {by_hand:.12f}")
+print("leaves (their one neighbour is the centre):", out[1:].tolist())
 
 # a full network at the easy-regime parameters: one attention layer suffices
 n = 3000

@@ -9,22 +9,20 @@ and packages the standard synthetic experiments behind a CLI with
 deterministic CSV/SVG output.
 """
 
-from .attention import (AttentionSpec, CoefficientRow, SignSym, Uniform, XorNet,
-                        attention_coefficients, psi_sign, psi_xor)
 from .csbm import (CsbmParams, EventReport, FeaturedGraph, NeighborhoodStats,
                    check_concentration_events, dump_graph, load_graph,
                    neighborhood_stats, sample_csbm, with_feature_params)
-from .errors import (ConfigError, CsbmLabError, IsolatedNodeError,
-                     NumericalConsistencyError, ParameterError, PlotDataError,
-                     ScheduleError)
+from .errors import (ConfigError, CsbmLabError, NumericalConsistencyError,
+                     ParameterError, PlotDataError, ScheduleError)
 from .moments import (McMoments, MomentInputs, MomentPair, SequenceDiagnostics,
                       TailScalars, asymptotic_moments, closed_form_mean,
                       closed_form_moments, closed_form_var, corollary_case,
                       inverse_denominator_moment, log_normal_upper_tail,
                       monte_carlo_moments, normal_upper_tail, sequence_diagnostics,
                       snr_gain, snr_gain_factor, tail_scalars, truncated_moments)
-from .network import (ClassificationResult, ForwardTrace, GATSTAR_RAMP_INTENSITIES,
-                      LayerSchedule, forward_layer, gatstar_schedule, run_network)
+from .network import (AttentionSpec, ClassificationResult, ForwardTrace,
+                      GATSTAR_RAMP_INTENSITIES, LayerSchedule, SignSym, Uniform,
+                      forward_layer, gatstar_schedule, run_network)
 from .oversmoothing import (AxiomReport, DecayFit, SimilarityTrace,
                             check_similarity_axioms, fit_decay, gamma,
                             predicted_decay_factor, trace_gamma)

@@ -13,10 +13,6 @@ class ParameterError(CsbmLabError, ValueError):
     """A model or operation parameter is outside its documented domain."""
 
 
-class IsolatedNodeError(CsbmLabError):
-    """A node with an empty neighbourhood was passed where neighbours are required."""
-
-
 class ScheduleError(CsbmLabError, ValueError):
     """A layer schedule is empty or cannot be constructed for the given parameters."""
 

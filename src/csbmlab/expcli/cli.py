@@ -17,8 +17,7 @@ import os
 import sys
 
 from ..csbm import CsbmParams, dump_graph, load_graph, sample_csbm
-from ..errors import (ConfigError, CsbmLabError, NumericalConsistencyError,
-                      ParameterError, PlotDataError, ScheduleError)
+from ..errors import ConfigError, CsbmLabError, NumericalConsistencyError
 from ..moments import MomentInputs, closed_form_moments, monte_carlo_moments
 from ..network import LayerSchedule, run_network
 from ..oversmoothing import gamma
@@ -231,13 +230,7 @@ def main(argv=None) -> int:
     except NumericalConsistencyError as exc:
         print(f"numerical consistency error: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, PlotDataError, ParameterError, ScheduleError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CsbmLabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (CsbmLabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,11 +1,14 @@
 """Experiment runners: deterministic CSV/manifest writers for each study.
 
-Every runner derives the trial seed as ``seed XOR trial index``, evaluates
-whole parameter grids against the same trial graph wherever the model
-allows it (topology never depends on mu, so a feature sweep runs as the
-columns of one feature block through ``run_network``), and reduces trial
-results in index order. Rerunning with the same config yields
-byte-identical CSVs; only the manifest's wall-clock line differs.
+The four studies share one trial engine, ``_per_trial``: trial i samples a
+graph with seed ``seed XOR i``, runs each of the study's schedules once over
+it, and reduces each run to a measure (the accuracy, or exp3's gamma per
+layer). Whole parameter grids are evaluated against the same trial graph
+wherever the model allows it (topology never depends on mu, so a feature
+sweep runs as the columns of one feature block through ``run_network``),
+and trial results are reduced in index order. Rerunning with the same
+config yields byte-identical CSVs; only the manifest's wall-clock line
+differs.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import os
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,9 +26,8 @@ import numpy as np
 from .. import moments as mm
 from ..csbm import CsbmParams, sample_csbm, with_feature_params
 from ..errors import ConfigError, NumericalConsistencyError
-from ..network import (GATSTAR_RAMP_INTENSITIES, LayerSchedule, run_network)
-from ..oversmoothing import (SimilarityTrace, check_similarity_axioms, fit_decay,
-                             trace_gamma)
+from ..network import GATSTAR_RAMP_INTENSITIES, LayerSchedule, run_network
+from ..oversmoothing import SimilarityTrace, check_similarity_axioms, fit_decay, gamma
 from .config import ExperimentConfig
 
 __all__ = [
@@ -150,97 +153,103 @@ def _accuracy_stats(per_trial: np.ndarray) -> tuple[float, float]:
     return mean, stderr
 
 
+def _accuracy_rows(outer, inner, per_trial: np.ndarray) -> list[tuple]:
+    """One (outer, inner, mean, stderr) row per cell of per_trial[trial, outer, inner]."""
+    return [(o, x, *_accuracy_stats(per_trial[:, i, j]))
+            for i, o in enumerate(outer) for j, x in enumerate(inner)]
+
+
 def _feature_block(graph, mus, sigma: float) -> np.ndarray:
     """(n, len(mus)) block: column i holds the graph's features redrawn at mus[i]."""
     return np.stack([with_feature_params(graph, mu, sigma).features for mu in mus],
                     axis=1)
 
 
-def _capture_notes(record) -> dict[str, str]:
-    notes = "; ".join(str(w.message) for w in record)
-    return {"notes": notes} if notes else {}
+@contextmanager
+def _study_notes():
+    """Record a study's warnings into the yielded manifest entries.
+
+    On exit it holds ``notes``, each distinct message once in first-seen
+    order, if any warning was raised: a heterophilic study warns once per
+    parameter set it builds, which is once per trial and feature column.
+    """
+    extra: dict[str, str] = {}
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        yield extra
+    notes = "; ".join(dict.fromkeys(str(w.message) for w in record))
+    if notes:
+        extra["notes"] = notes
+
+
+def _per_trial(config: ExperimentConfig, params: CsbmParams, schedules, measure,
+               mus=None) -> np.ndarray:
+    """Every trial of a study, as an array indexed [trial, schedule, ...].
+
+    Trial i samples a graph at ``params`` with seed ``seed XOR i`` and takes
+    its own features or, given ``mus``, the block of them redrawn at each
+    mean. Each schedule then runs once over those features, and
+    ``measure(trace, result)`` reduces the run.
+    """
+    def one_trial(trial_seed):
+        graph = sample_csbm(params, trial_seed)
+        block = None if mus is None else _feature_block(graph, mus, config.sigma)
+        return [measure(*run_network(graph, schedule, block)) for schedule in schedules]
+
+    return np.array(_map_trials(one_trial, _trial_seeds(config), config.workers))
+
+
+def _accuracy(trace, result):
+    return result.accuracy
+
+
+def _snapshot_gammas(trace, result):
+    return [gamma(x) for x in trace.snapshots]
+
+
+def _intensity_schedules(config: ExperimentConfig) -> list[LayerSchedule]:
+    """One schedule per t in the grid: ``config.layers`` layers at intensity t."""
+    return [LayerSchedule.from_intensities([t] * config.layers) for t in config.t_grid]
 
 
 def run_experiment1(config: ExperimentConfig) -> str:
     """Accuracy versus attention intensity at high feature SNR, one row per (a, t)."""
     started = time.monotonic()
     mu = config.resolved_mu()
-    t_grid = config.t_grid
-
-    def one_trial(args):
-        a, trial_seed = args
-        params = CsbmParams.from_ab(config.n, a, config.b, mu, config.sigma)
-        graph = sample_csbm(params, trial_seed)
-        accs = []
-        for t in t_grid:
-            schedule = LayerSchedule.from_intensities([t] * config.layers)
-            _, result = run_network(graph, schedule)
-            accs.append(result.accuracy)
-        return accs
-
-    rows = []
-    with warnings.catch_warnings(record=True) as record:
-        warnings.simplefilter("always")
-        for a in config.a_list:
-            jobs = [(a, s) for s in _trial_seeds(config)]
-            per_trial = np.array(_map_trials(one_trial, jobs, config.workers))
-            for k, t in enumerate(t_grid):
-                mean, stderr = _accuracy_stats(per_trial[:, k])
-                rows.append((a, t, mean, stderr))
+    schedules = _intensity_schedules(config)
+    with _study_notes() as extra:
+        per_trial = np.stack([
+            _per_trial(config, CsbmParams.from_ab(config.n, a, config.b, mu, config.sigma),
+                       schedules, _accuracy)
+            for a in config.a_list], axis=1)
+    rows = _accuracy_rows(config.a_list, config.t_grid, per_trial)
     return _finish(config, "exp1", ("a", "t", "mean_accuracy", "stderr"),
-                   rows, started, _capture_notes(record))
+                   rows, started, extra)
 
 
 def run_experiment2(config: ExperimentConfig) -> str:
     """Accuracy versus attention intensity at low SNR, one row per (mu, t)."""
     started = time.monotonic()
     a, b = config.ab()
-    mu_list = config.mu_list
-    t_grid = config.t_grid
-
-    def one_trial(trial_seed):
-        params = CsbmParams.from_ab(config.n, a, b, mu_list[0], config.sigma)
-        graph = sample_csbm(params, trial_seed)
-        block = _feature_block(graph, mu_list, config.sigma)
-        accs = np.empty((len(mu_list), len(t_grid)))
-        for k, t in enumerate(t_grid):
-            schedule = LayerSchedule.from_intensities([t] * config.layers)
-            _, result = run_network(graph, schedule, block)
-            accs[:, k] = result.accuracy
-        return accs
-
-    with warnings.catch_warnings(record=True) as record:
-        warnings.simplefilter("always")
-        per_trial = np.array(_map_trials(one_trial, _trial_seeds(config), config.workers))
-    rows = []
-    for i, mu in enumerate(mu_list):
-        for k, t in enumerate(t_grid):
-            mean, stderr = _accuracy_stats(per_trial[:, i, k])
-            rows.append((mu, t, mean, stderr))
+    mus = config.mu_list
+    with _study_notes() as extra:
+        params = CsbmParams.from_ab(config.n, a, b, mus[0], config.sigma)
+        per_trial = _per_trial(config, params, _intensity_schedules(config),
+                               _accuracy, mus)
+    rows = _accuracy_rows(mus, config.t_grid, per_trial.transpose(0, 2, 1))
     return _finish(config, "exp2", ("mu", "t", "mean_accuracy", "stderr"),
-                   rows, started, _capture_notes(record))
+                   rows, started, extra)
 
 
 def run_experiment3(config: ExperimentConfig) -> str:
     """Similarity trace through a deep network, one row per (t, layer)."""
     started = time.monotonic()
     a, b = config.ab()
-    mu = config.resolved_mu()
-
-    def one_trial(trial_seed):
-        params = CsbmParams.from_ab(config.n, a, b, mu, config.sigma)
-        graph = sample_csbm(params, trial_seed)
-        out = np.empty((len(config.t_grid), config.layers + 1))
-        for k, t in enumerate(config.t_grid):
-            schedule = LayerSchedule.from_intensities([t] * config.layers)
-            out[k] = trace_gamma(graph, schedule).gamma_values
-        return out
-
-    with warnings.catch_warnings(record=True) as record:
-        warnings.simplefilter("always")
-        per_trial = np.array(_map_trials(one_trial, _trial_seeds(config), config.workers))
+    with _study_notes() as extra:
+        params = CsbmParams.from_ab(config.n, a, b, config.resolved_mu(), config.sigma)
+        per_trial = _per_trial(config, params, _intensity_schedules(config),
+                               _snapshot_gammas)
     mean_gamma = per_trial.mean(axis=0)
-    extra = _capture_notes(record)
     rows = []
     for k, t in enumerate(config.t_grid):
         for layer in range(config.layers + 1):
@@ -259,28 +268,13 @@ def run_experiment4(config: ExperimentConfig) -> str:
     unit = snr_unit(config.n)
     snr_grid = unit * np.logspace(math.log10(config.snr_lo), math.log10(config.snr_hi),
                                   config.snr_points)
-
-    def one_trial(trial_seed):
+    schedules = [LayerSchedule.from_intensities(ts) for _, ts in EXP4_MODELS]
+    with _study_notes() as extra:
         params = CsbmParams.from_ab(config.n, a, b, snr_grid[0] * config.sigma,
                                     config.sigma)
-        graph = sample_csbm(params, trial_seed)
-        block = _feature_block(graph, snr_grid * config.sigma, config.sigma)
-        accs = np.empty((len(EXP4_MODELS), len(snr_grid)))
-        for i, (_, intensities) in enumerate(EXP4_MODELS):
-            schedule = LayerSchedule.from_intensities(intensities)
-            _, result = run_network(graph, schedule, block)
-            accs[i] = result.accuracy
-        return accs
-
-    with warnings.catch_warnings(record=True) as record:
-        warnings.simplefilter("always")
-        per_trial = np.array(_map_trials(one_trial, _trial_seeds(config), config.workers))
-    rows = []
-    for i, (model, _) in enumerate(EXP4_MODELS):
-        for j, snr in enumerate(snr_grid):
-            mean, stderr = _accuracy_stats(per_trial[:, i, j])
-            rows.append((model, float(snr), mean, stderr))
-    extra = _capture_notes(record)
+        per_trial = _per_trial(config, params, schedules, _accuracy,
+                               snr_grid * config.sigma)
+    rows = _accuracy_rows([model for model, _ in EXP4_MODELS], snr_grid, per_trial)
     extra["snr_threshold"] = _fmt(unit)
     return _finish(config, "exp4", ("model", "snr", "mean_accuracy", "stderr"),
                    rows, started, extra)

@@ -440,10 +440,12 @@ def monte_carlo_moments(inputs: MomentInputs, trials: int, seed: int,
     ``deg_p`` same-class and ``deg_q`` cross-class neighbour features, and
     averages the neighbours with weights exp(+-t) by sign agreement with
     the centre. The variance standard error uses the fourth central moment,
-    so it stays honest for the non-Gaussian aggregate. Chunks draw from
-    per-chunk Philox streams keyed by (seed, chunk), so the result does not
-    depend on chunk size and chunks may be farmed out to workers as long as
-    the reduction below is kept in chunk order.
+    so it stays honest for the non-Gaussian aggregate. Trials run in chunks
+    of ``2e7 // (deg_p + deg_q + 1)`` rows, each drawn from its own Philox
+    stream keyed by (seed, chunk index). The chunk size therefore decides
+    which draws a trial gets: changing it moves every result past the first
+    chunk, a versioned break. Chunks may be farmed out to workers as long
+    as the reduction below is kept in chunk order.
     """
     if trials < 1000:
         raise ParameterError(f"need at least 1000 trials, got {trials}")

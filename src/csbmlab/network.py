@@ -1,11 +1,17 @@
-"""Multi-layer forward passes over a featured graph, sign readout, scoring.
+"""Edge scoring rules, multi-layer forward passes, and the sign readout.
 
 Each layer replaces every node's feature by the coefficient-weighted sum of
-its neighbours' current features; coefficients come from that layer's
-scoring rule applied to the layer's *input* features. No nonlinearity is
-applied between layers; the sign readout happens once, after the last
-layer. A sign of exactly zero is its own class and always counts as
-misclassified, so ties are never broken optimistically.
+its neighbours' current features; coefficients are the softmax of that
+layer's scoring rule applied to the layer's *input* features. Two rules
+are supported:
+
+* ``Uniform``    -- every neighbour scores 0, so coefficients are 1/deg;
+* ``SignSym(t)`` -- score +t when the two features agree in sign (a zero
+  feature agrees with everything), -t otherwise.
+
+No nonlinearity is applied between layers; the sign readout happens once,
+after the last layer. A sign of exactly zero is its own class and always
+counts as misclassified, so ties are never broken optimistically.
 
 A layer is one sparse product of the graph's CSR adjacency with a block of
 feature columns, so feature vectors that share a graph and a schedule (an
@@ -20,11 +26,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .attention import AttentionSpec, SignSym, Uniform, XorNet, psi_xor
 from .csbm import FeaturedGraph
 from .errors import ParameterError, ScheduleError
 
 __all__ = [
+    "Uniform",
+    "SignSym",
+    "AttentionSpec",
     "LayerSchedule",
     "ForwardTrace",
     "ClassificationResult",
@@ -38,6 +46,31 @@ __all__ = [
 # layers would already lift the SNR, but a gentle ramp keeps every layer
 # informative at low SNR.
 GATSTAR_RAMP_INTENSITIES: tuple[float, ...] = (0.0, 0.5, 0.5, 5.0)
+
+
+@dataclass(frozen=True)
+class Uniform:
+    """Score every neighbour equally; softmax gives plain averaging."""
+
+    def describe(self) -> str:
+        return "uniform"
+
+
+@dataclass(frozen=True)
+class SignSym:
+    """Sign-agreement score of magnitude ``t`` (t = 0 degenerates to Uniform)."""
+
+    t: float
+
+    def __post_init__(self):
+        if not self.t >= 0.0:
+            raise ParameterError(f"attention intensity must be >= 0, got {self.t!r}")
+
+    def describe(self) -> str:
+        return f"sign(t={self.t:g})"
+
+
+AttentionSpec = Uniform | SignSym
 
 
 @dataclass(frozen=True)
@@ -90,13 +123,12 @@ class ClassificationResult:
     warnings: tuple[str, ...] = field(default=())
 
 
-def _adjacency(graph: FeaturedGraph, data: np.ndarray | None = None):
-    """The graph's CSR arrays as a sparse (n, n) matrix, unit weights by default."""
+def _adjacency(graph: FeaturedGraph):
+    """The graph's CSR arrays as a sparse (n, n) matrix of unit weights."""
     from scipy.sparse import csr_array
 
-    if data is None:
-        data = np.ones(graph.adj_dst.size)
-    return csr_array((data, graph.adj_dst, graph.indptr), shape=(graph.n, graph.n))
+    return csr_array((np.ones(graph.adj_dst.size), graph.adj_dst, graph.indptr),
+                     shape=(graph.n, graph.n))
 
 
 def _divide(num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -130,23 +162,6 @@ def _sign_layer(graph: FeaturedGraph, x: np.ndarray, t: float) -> np.ndarray:
                    agree_count + other_weight * (deg - agree_count))
 
 
-def _xor_layer(graph: FeaturedGraph, x: np.ndarray, spec: XorNet) -> np.ndarray:
-    """XorNet layer: per column, the max-shifted exp scores as the CSR matrix data."""
-    deg = graph.degrees
-    starts = graph.indptr[:-1][deg > 0]
-    out = np.empty_like(x)
-    for c in range(x.shape[1]):
-        col = x[:, c]
-        s = np.asarray(psi_xor(np.repeat(col, deg), col[graph.adj_dst], spec.R, spec.beta))
-        smax = np.zeros(graph.n)
-        if starts.size:
-            smax[deg > 0] = np.maximum.reduceat(s, starts)
-        sums = _adjacency(graph, np.exp(s - np.repeat(smax, deg))) @ np.stack(
-            [col, np.ones(graph.n)], axis=1)
-        out[:, c] = _divide(sums[:, 0], sums[:, 1])
-    return out
-
-
 def forward_layer(graph: FeaturedGraph, features, spec: AttentionSpec) -> np.ndarray:
     """One aggregation layer: X'_i = sum_j c_ij X_j over i's neighbours.
 
@@ -162,8 +177,6 @@ def forward_layer(graph: FeaturedGraph, features, spec: AttentionSpec) -> np.nda
         out = _divide(_adjacency(graph) @ x, graph.degrees[:, None].astype(np.float64))
     elif isinstance(spec, SignSym):
         out = _sign_layer(graph, x, spec.t)
-    elif isinstance(spec, XorNet):
-        out = _xor_layer(graph, x, spec)
     else:
         raise ParameterError(f"unknown attention spec {spec!r}")
     return out.reshape(features.shape)
@@ -178,8 +191,6 @@ def run_network(graph: FeaturedGraph, schedule: LayerSchedule,
     outputs are then (n, k), and ``accuracy`` and ``perfect`` are arrays
     with one entry per column.
     """
-    if len(schedule) == 0:
-        raise ScheduleError("a schedule needs at least one layer")
     x = np.asarray(graph.features if features is None else features, dtype=np.float64)
     snapshots = [x]
     for spec in schedule:

@@ -15,10 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import AttentionSpec, SignSym, Uniform
 from .csbm import FeaturedGraph
-from .errors import ParameterError, ScheduleError
-from .network import LayerSchedule, run_network
+from .errors import ParameterError
+from .network import AttentionSpec, LayerSchedule, SignSym, Uniform, run_network
 
 __all__ = [
     "SimilarityTrace",
@@ -127,8 +126,6 @@ class SimilarityTrace:
 
 
 def trace_gamma(graph: FeaturedGraph, schedule: LayerSchedule) -> SimilarityTrace:
-    if len(schedule) == 0:
-        raise ScheduleError("a schedule needs at least one layer")
     trace, _ = run_network(graph, schedule)
     values = tuple(gamma(x) for x in trace.snapshots)
     return SimilarityTrace(gamma_values=values, schedule=schedule.describe(), n=graph.n)

@@ -140,12 +140,20 @@ def test_exp2_noiseless_features_saturate(tmp_path):
 
 
 def test_exp3_as_printed_is_recorded(tmp_path):
-    config = tiny("exp3", tmp_path, t_grid=(8.0,), layers=3, trials=1,
+    config = tiny("exp3", tmp_path / "exp3", t_grid=(8.0,), layers=3, trials=1,
                   mu=3.0, as_printed=True)
     path = run_experiment3(config)
     manifest = open(os.path.join(os.path.dirname(path), "exp3_manifest.txt")).read()
     assert "as_printed=true" in manifest
     assert "notes=" in manifest   # heterophilic warning captured
+    # exp4 warns once per trial and SNR column; the manifest keeps one copy
+    config = tiny("exp4", tmp_path / "exp4", snr_points=3, snr_lo=0.5, snr_hi=2.0,
+                  as_printed=True)
+    path = run_experiment4(config)
+    manifest = open(os.path.join(os.path.dirname(path), "exp4_manifest.txt")).read()
+    notes = [line for line in manifest.splitlines() if line.startswith("notes=")]
+    assert len(notes) == 1
+    assert notes[0].count("outside the homophilic dense regime") == 1
 
 
 def test_exp4_schema_and_threshold(tmp_path):
@@ -299,16 +307,28 @@ def test_cli_moments_with_oracle(capsys):
     assert float(values["z_score"]) < 6.0
 
 
+def assert_reproduces_demo_csv(argv, tmp_path):
+    """Run a demos/05 command into tmp_path; its CSV must equal out/demo's byte for byte."""
+    committed = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                             "out", "demo", f"{argv[0]}.csv")
+    assert main([*argv, "--seed", "1", "--out", str(tmp_path)]) == 0
+    with open(committed, "rb") as fh:
+        assert (tmp_path / f"{argv[0]}.csv").read_bytes() == fh.read()
+
+
 def test_cli_validate_reproduces_the_demo_csv(tmp_path):
     # the committed demo CSV pins the law's and the Monte Carlo's summation
     # order: a change that moves a digit must regenerate it and bump
     # TOOL_VERSION
-    committed = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                             "out", "demo", "validate.csv")
-    rc = main(["validate", "--trials", "20000", "--seed", "1", "--out", str(tmp_path)])
-    assert rc == 0
-    with open(committed, "rb") as fh:
-        assert (tmp_path / "validate.csv").read_bytes() == fh.read()
+    assert_reproduces_demo_csv(["validate", "--trials", "20000"], tmp_path)
+
+
+@pytest.mark.parametrize("argv", [["exp1", "--trials", "10"], ["exp2", "--trials", "10"],
+                                  ["exp3"], ["exp4", "--trials", "10"]],
+                         ids=lambda argv: argv[0])
+def test_cli_study_reproduces_the_demo_csv(argv, tmp_path):
+    # the studies' trial engine, seeds and reductions are pinned the same way
+    assert_reproduces_demo_csv(argv, tmp_path)
 
 
 def test_cli_exp_runner_and_plot(tmp_path):

@@ -5,10 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from csbmlab import (CsbmParams, LayerSchedule, ParameterError, ScheduleError,
-                     SignSym, Uniform, check_similarity_axioms, fit_decay,
-                     gamma, predicted_decay_factor, sample_csbm,
-                     SimilarityTrace, trace_gamma)
+from csbmlab import (CsbmParams, LayerSchedule, ParameterError, SignSym, Uniform,
+                     check_similarity_axioms, fit_decay, gamma, predicted_decay_factor,
+                     sample_csbm, SimilarityTrace, trace_gamma)
 
 
 def test_gamma_point_values():
@@ -97,11 +96,6 @@ def test_fit_decay_stops_at_the_rounding_floor():
 def test_fit_decay_needs_three_points():
     with pytest.raises(ParameterError):
         fit_decay(SimilarityTrace((1.0, 0.5), "synthetic", 10))
-
-
-def test_empty_schedule_rejected():
-    with pytest.raises(ScheduleError):
-        LayerSchedule(())
 
 
 def test_deep_uniform_trace_decays_log_linearly():
