@@ -6,9 +6,15 @@ class), and a scalar feature per node from N(+mu, sigma^2) or
 N(-mu, sigma^2) according to the label.
 
 Randomness comes from counter-based Philox streams keyed by
-``(seed, stream id)``, one stream per entity kind (labels, features, each
-edge block), so a given seed reproduces the same graph bit for bit
-regardless of how the draws are interleaved by the caller.
+``(seed, stream id)``, one stream per entity kind, so a given seed
+reproduces the same graph bit for bit regardless of how the draws are
+interleaved by the caller: labels use stream 1, features stream 2, and the
+three edge blocks (class-0 pairs, class-1 pairs, cross pairs) streams 6, 7
+and 8. Within a block the edges are drawn by geometric skips (Batagelj and
+Brandes, Phys. Rev. E 71, 036113, 2005): one uniform per edge gives the gap
+to the next hit pair, so sampling costs O(n + E) time and memory rather than
+one draw per vertex pair. Streams 3-5 held the per-pair draws of versions
+before 0.4.0 and are retired, not reused.
 """
 
 from __future__ import annotations
@@ -38,11 +44,13 @@ __all__ = [
 ]
 
 # Philox stream ids; fixed so that seeds stay meaningful across versions.
+# Ids 3-5 (per-pair edge draws before 0.4.0) are retired: reusing one would
+# give an old seed's stream a new meaning.
 _STREAM_LABELS = 1
 _STREAM_FEATURES = 2
-_STREAM_EDGES_SAME0 = 3
-_STREAM_EDGES_SAME1 = 4
-_STREAM_EDGES_CROSS = 5
+_STREAM_EDGES_SAME0 = 6
+_STREAM_EDGES_SAME1 = 7
+_STREAM_EDGES_CROSS = 8
 
 
 def _stream(seed: int, stream_id: int) -> np.random.Generator:
@@ -127,24 +135,36 @@ class FeaturedGraph:
         if features.shape[0] != n:
             raise ParameterError("labels and features must have the same length")
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        u, v = edges[:, 0], edges[:, 1]
         if edges.size:
-            lo = np.minimum(edges[:, 0], edges[:, 1])
-            hi = np.maximum(edges[:, 0], edges[:, 1])
-            if np.any(lo == hi):
+            if np.any(u == v):
                 raise ParameterError("self-loops are not allowed")
-            if lo.min() < 0 or hi.max() >= n:
+            if edges.min() < 0 or edges.max() >= n:
                 raise ParameterError("edge endpoint out of range")
-            # the int64 key lo * n + hi sorts (lo, hi) rows lexicographically;
-            # dropping repeats of a sorted key deduplicates them
-            key = np.sort(lo * n + hi)
-            keep = np.ones(key.size, dtype=bool)
-            np.not_equal(key[1:], key[:-1], out=keep[1:])
-            edges = np.stack(np.divmod(key[keep], n), axis=1)
-        # both arcs of every edge, sorted by (source, target) the same way
-        src, dst = np.divmod(np.sort(np.concatenate([edges[:, 0] * n + edges[:, 1],
-                                                     edges[:, 1] * n + edges[:, 0]])), n)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+        # both arcs of every edge as int64 keys src * n + dst: one sort orders
+        # them by (source, target), dropping repeats of a sorted key
+        # deduplicates them, and the arcs with src < dst are the edges, sorted
+        m = u.size
+        key = np.empty(2 * m, dtype=np.int64)
+        np.multiply(u, n, out=key[:m])
+        key[:m] += v
+        np.multiply(v, n, out=key[m:])
+        key[m:] += u
+        key.sort()
+        repeat = key[1:] == key[:-1]
+        if repeat.any():
+            key = key[np.concatenate([[True], ~repeat])]
+        # node i's arcs are the keys in [i * n, (i + 1) * n); every buffer
+        # below is updated in place, since fresh pages cost as much as the work
+        indptr = np.searchsorted(key, np.arange(n + 1, dtype=np.int64) * n)
+        src = np.repeat(np.arange(0, n * n, n, dtype=np.int64), np.diff(indptr))
+        dst = key
+        dst -= src
+        src //= n
+        up = src < dst
+        edges = np.empty((dst.size // 2, 2), dtype=np.int64)
+        edges[:, 0] = src[up]
+        edges[:, 1] = dst[up]
         for arr in (labels, features, edges, indptr, dst):
             arr.setflags(write=False)
         return cls(
@@ -167,42 +187,111 @@ class FeaturedGraph:
         return 2 * self.labels.astype(np.int64) - 1
 
 
+def _skip_positions(gen: np.random.Generator, m: int, p: float,
+                    batch: int | None = None) -> np.ndarray:
+    """Sorted positions in [0, m), each present independently with probability p.
+
+    The gap from one hit to the next is ``floor(log(U) / log1p(-p)) + 1``
+    with ``U = 1 - gen.random()`` in (0, 1], one uniform per hit plus one
+    that overshoots ``m``. Uniforms are drawn ``batch`` at a time (by
+    default sized near the expected count), but the positions depend only
+    on the stream: a batch is a run of consecutive draws, and the surplus
+    after the overshoot is discarded.
+    """
+    if m == 0 or p <= 0.0:
+        return np.empty(0, dtype=np.int64)
+    if p >= 1.0:
+        return np.arange(m, dtype=np.int64)
+    log_q = math.log1p(-p)
+    if batch is None:
+        mean = m * p
+        batch = min(m + 1, int(mean + 4.0 * math.sqrt(mean)) + 64)
+    chunks, last = [], -1
+    while True:
+        gap = gen.random(batch)
+        np.subtract(1.0, gap, out=gap)
+        np.log(gap, out=gap)
+        np.divide(gap, log_q, out=gap)
+        np.floor(gap, out=gap)
+        # a gap of m or more ends the block; clipping keeps the int64 cast exact
+        np.minimum(gap, m, out=gap)
+        pos = gap.astype(np.int64)
+        pos += 1
+        np.cumsum(pos, out=pos)
+        pos += last
+        end = int(np.searchsorted(pos, m))
+        chunks.append(pos[:end])
+        if end < batch:
+            break
+        last = int(pos[-1])
+    return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+
+
+def _unrank_upper(r: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(i, j) of positions ``r`` in the row-major strict upper triangle of k x k.
+
+    Row i starts at ``S(i) = i * (2k - 1 - i) / 2``. The closed-form root
+    ``i = floor(((2k - 1) - sqrt((2k - 1)^2 - 8r)) / 2)`` of ``S(i) = r``
+    gives the row up to rounding, and an integer step corrects it. This is
+    the order of ``np.triu_indices(k, 1)``.
+    """
+    two_k1 = 2 * k - 1
+    i = r * -8
+    i += two_k1 * two_k1
+    root = np.sqrt(i, dtype=np.float64)
+    np.subtract(two_k1, root, out=root)
+    root *= 0.5
+    np.copyto(i, root, casting="unsafe")    # truncation is floor: the root is >= 0
+    # At a row start the discriminant is the square (2k - 1 - 2i)^2, whose
+    # rounded root is exact, and rounding is monotone, so the estimate is
+    # never below the row. It lands one row above it at the end of a row
+    # once the discriminant exceeds 2^53 (k above about 4.7e7).
+    j = two_k1 - i
+    j *= i
+    j >>= 1                                 # S(i), the start of row i
+    over = np.flatnonzero(r < j)
+    i[over] -= 1
+    j[over] -= k - 1 - i[over]
+    np.subtract(r, j, out=j)
+    j += i
+    j += 1
+    return i, j
+
+
+def _sample_edges(labels: np.ndarray, p: float, q: float, seed: int) -> np.ndarray:
+    """(E, 2) edges of the three blocks, each drawn by geometric skips."""
+    idx0 = np.flatnonzero(labels == 0)
+    idx1 = np.flatnonzero(labels == 1)
+    same = [(members, _skip_positions(_stream(seed, stream_id),
+                                      members.size * (members.size - 1) // 2, p))
+            for members, stream_id in ((idx0, _STREAM_EDGES_SAME0),
+                                       (idx1, _STREAM_EDGES_SAME1))]
+    cross = _skip_positions(_stream(seed, _STREAM_EDGES_CROSS), idx0.size * idx1.size, q)
+    edges = np.empty((sum(hit.size for _, hit in same) + cross.size, 2), dtype=np.int64)
+    start = 0
+    for members, hit in same:
+        i, j = _unrank_upper(hit, members.size)
+        block = edges[start:start + hit.size]
+        block[:, 0] = members[i]
+        block[:, 1] = members[j]
+        start += hit.size
+    if cross.size:
+        # cross position a * |class 1| + b is the pair (idx0[a], idx1[b])
+        a = cross // idx1.size
+        edges[start:, 0] = idx0[a]
+        a *= idx1.size
+        np.subtract(cross, a, out=a)
+        edges[start:, 1] = idx1[a]
+    return edges
+
+
 def sample_csbm(params: CsbmParams, seed: int) -> FeaturedGraph:
     """Draw one featured graph; deterministic for a given (params, seed)."""
     n = params.n
     labels = (_stream(seed, _STREAM_LABELS).random(n) < 0.5).astype(np.int8)
     noise = _stream(seed, _STREAM_FEATURES).standard_normal(n)
     features = (2 * labels.astype(np.float64) - 1) * params.mu + params.sigma * noise
-
-    idx0 = np.flatnonzero(labels == 0)
-    idx1 = np.flatnonzero(labels == 1)
-    blocks = []
-
-    def same_class_block(members: np.ndarray, stream_id: int) -> None:
-        k = members.size
-        gen = _stream(seed, stream_id)
-        if k < 2 or params.p <= 0.0:
-            return
-        iu, ju = np.triu_indices(k, 1)
-        hit = gen.random(iu.size) < params.p
-        if hit.any():
-            blocks.append(np.stack([members[iu[hit]], members[ju[hit]]], axis=1))
-
-    same_class_block(idx0, _STREAM_EDGES_SAME0)
-    same_class_block(idx1, _STREAM_EDGES_SAME1)
-
-    gen = _stream(seed, _STREAM_EDGES_CROSS)
-    if idx0.size and idx1.size and params.q > 0.0:
-        hit = gen.random(idx0.size * idx1.size) < params.q
-        flat = np.flatnonzero(hit)
-        if flat.size:
-            a, b = np.divmod(flat, idx1.size)
-            blocks.append(np.stack([idx0[a], idx1[b]], axis=1))
-
-    if blocks:
-        edges = np.concatenate(blocks, axis=0)
-    else:
-        edges = np.empty((0, 2), dtype=np.int64)
+    edges = _sample_edges(labels, params.p, params.q, seed)
     return FeaturedGraph.from_edges(labels, features, edges, params=params, seed=seed)
 
 

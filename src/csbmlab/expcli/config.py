@@ -27,6 +27,9 @@ EXPERIMENTS = (
     "exp1", "exp2", "exp3", "exp4", "validate-moments", "oversmooth-axioms",
 )
 
+# the studies whose graphs use the a/b constants that ``ab()`` may swap
+_AB_EXPERIMENTS = ("exp2", "exp3", "exp4")
+
 
 @dataclass
 class ExperimentConfig:
@@ -65,6 +68,11 @@ class ExperimentConfig:
             raise ConfigError("layers must be >= 1")
         if self.n < 2:
             raise ConfigError("n must be >= 2")
+        if self.as_printed and self.experiment not in _AB_EXPERIMENTS:
+            # exp1 sweeps a_list against b and validate samples no graph, so
+            # the flag would be recorded in the manifest without effect
+            raise ConfigError(f"as_printed applies to {', '.join(_AB_EXPERIMENTS)} only, "
+                              f"not {self.experiment}")
 
     def resolved_mu(self) -> float:
         if self.mu is not None:

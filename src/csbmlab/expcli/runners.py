@@ -51,7 +51,7 @@ __all__ = [
 # closed-form and Monte Carlo columns move in the last digits; the decay fit
 # stops where gamma falls to 1e-12 of its first value, which moves exp3's
 # fitted rates.
-TOOL_VERSION = "0.3.0"
+TOOL_VERSION = "0.4.0"
 
 EXP4_MODELS: tuple[tuple[str, tuple[float, ...]], ...] = (
     ("gcn", (0.0, 0.0, 0.0, 0.0)),

@@ -6,10 +6,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
 from csbmlab import (CsbmParams, FeaturedGraph, ParameterError,
                      check_concentration_events, dump_graph, load_graph,
                      neighborhood_stats, sample_csbm, with_feature_params)
+from csbmlab.csbm import _skip_positions, _stream, _unrank_upper
 
 
 def square_params(n=300, p=0.25, q=0.12, mu=1.0, sigma=1.0):
@@ -102,6 +104,115 @@ def test_edge_density_within_three_binomial_se():
         assert abs(hits / pairs - prob) < 3 * se
 
 
+# --- geometric-skip edge sampling ------------------------------------------
+
+
+def test_unrank_upper_is_a_bijection_onto_triu_indices():
+    # every position of every triangle up to k = 1000
+    for k in range(1001):
+        i, j = _unrank_upper(np.arange(k * (k - 1) // 2, dtype=np.int64), k)
+        iu, ju = np.triu_indices(k, 1)
+        assert np.array_equal(i, iu) and np.array_equal(j, ju), k
+
+
+@pytest.mark.parametrize("k, rows", [
+    (100_000, np.arange(100_000 - 1)),
+    # past k ~ 4.7e7 the discriminant rounds and the root lands one row
+    # too far at row ends, which the integer step must correct
+    (10**9, np.concatenate([np.arange(1000), 10**9 - 1001 + np.arange(1000),
+                            np.random.default_rng(0).integers(0, 10**9 - 1, 10_000)])),
+], ids=["every-row", "k=1e9"])
+def test_unrank_upper_row_ends_at_large_k(k, rows):
+    # the first and last position of each row, where rounding may land one
+    # row off
+    rows = rows.astype(np.int64)
+    first = rows * (2 * k - 1 - rows) // 2
+    last = first + (k - 2 - rows)
+    i, j = _unrank_upper(first, k)
+    assert np.array_equal(i, rows) and np.array_equal(j, rows + 1)
+    i, j = _unrank_upper(last, k)
+    assert np.array_equal(i, rows) and np.array_equal(j, np.full(rows.size, k - 1))
+
+
+def one_uniform_at_a_time(gen, m, p):
+    """Skip positions drawn by a scalar loop over the same stream."""
+    hits, pos, log_q = [], -1, math.log1p(-p)
+    while True:
+        pos += int(np.floor(np.log(1.0 - gen.random()) / log_q)) + 1
+        if pos >= m:
+            return hits
+        hits.append(pos)
+
+
+@pytest.mark.parametrize("m, p", [(5000, 0.002), (5000, 0.3), (2000, 0.97), (1, 0.5),
+                                  (10**12, 1e-9)])
+def test_skip_positions_match_a_scalar_loop(m, p):
+    for seed in range(4):
+        want = one_uniform_at_a_time(_stream(seed, 6), m, p)
+        for batch in (None, 1, 7, 1000):
+            got = _skip_positions(_stream(seed, 6), m, p, batch=batch)
+            assert got.dtype == np.int64
+            assert got.tolist() == want, (seed, batch)
+
+
+def test_skip_positions_degenerate_probabilities():
+    gen = _stream(0, 6)
+    assert _skip_positions(gen, 100, 0.0).size == 0
+    assert _skip_positions(gen, 0, 0.5).size == 0
+    assert _skip_positions(gen, 0, 1.0).size == 0
+    assert np.array_equal(_skip_positions(gen, 100, 1.0), np.arange(100))
+    # a vanishing p must not overflow the int64 gaps
+    assert _skip_positions(gen, 10**15, 1e-300).size == 0
+
+
+def test_per_block_edge_counts_within_five_sd():
+    params = CsbmParams.from_ab(2000, 3.0, 2.0, 1.0, 1.0)
+    for seed in range(5):
+        g = sample_csbm(params, seed)
+        y = g.labels[g.edges]
+        n1 = int(g.labels.sum())
+        n0 = g.n - n1
+        for count, pairs, prob in (
+                (np.sum((y[:, 0] == 0) & (y[:, 1] == 0)), n0 * (n0 - 1) // 2, params.p),
+                (np.sum((y[:, 0] == 1) & (y[:, 1] == 1)), n1 * (n1 - 1) // 2, params.p),
+                (np.sum(y[:, 0] != y[:, 1]), n0 * n1, params.q)):
+            mean, sd = pairs * prob, math.sqrt(pairs * prob * (1 - prob))
+            assert abs(count - mean) < 5 * sd
+
+
+def test_hit_pairs_are_uniform_over_buckets():
+    # hits of a k = 120 triangle at p = 0.02, pooled over 300 seeds, bucketed
+    # by (i // 12, j // 12); expected counts are proportional to bucket size
+    k, p, width = 120, 0.02, 12
+    iu, ju = np.triu_indices(k, 1)
+    buckets = (k // width) * (iu // width) + ju // width
+    sizes = np.bincount(buckets)
+    counts = np.zeros_like(sizes)
+    for seed in range(300):
+        i, j = _unrank_upper(_skip_positions(_stream(seed, 7), iu.size, p), k)
+        counts += np.bincount((k // width) * (i // width) + j // width,
+                              minlength=sizes.size)
+    used = sizes > 0
+    expected = counts.sum() * sizes[used] / iu.size
+    statistic = float(np.sum((counts[used] - expected) ** 2 / expected))
+    assert chi2.sf(statistic, used.sum() - 1) > 1e-3
+
+
+def test_small_and_empty_classes_sample_complete_blocks():
+    # n = 3 gives every class size from 0 to 3 over a few seeds; p = q = 1
+    # must give the complete graph whatever the split, with no division by
+    # an empty class in the cross block
+    with pytest.warns(UserWarning):
+        params = CsbmParams(n=3, p=1.0, q=1.0, mu=1.0, sigma=1.0)
+    sizes = set()
+    with np.errstate(all="raise"):
+        for seed in range(32):
+            g = sample_csbm(params, seed)
+            sizes.add(int(g.labels.sum()))
+            assert g.edges.tolist() == [[0, 1], [0, 2], [1, 2]]
+    assert sizes == {0, 1, 2, 3}
+
+
 def test_feature_means_per_class():
     params = square_params(n=2000, mu=1.5, sigma=2.0)
     g = sample_csbm(params, 11)
@@ -156,7 +267,8 @@ def test_concentration_event_rates_at_textbook_params():
     # in roughly half the samples, and the degree-split band practically
     # never holds for all 3000 nodes at once (its cross-class branch sits at
     # ~3 standard deviations per node). The counts below are deterministic
-    # for seeds 0..39 and were frozen from a direct evaluation.
+    # for seeds 0..39 and were frozen from a direct evaluation (the degree
+    # count read 14 under the per-pair edge streams before 0.4.0).
     params = CsbmParams.from_ab(3000, 3.0, 2.0, 1.0, 1.0)
     counts = {"balance": 0, "degree": 0, "split": 0, "feature": 0}
     seeds = 40
@@ -168,7 +280,7 @@ def test_concentration_event_rates_at_textbook_params():
         counts["feature"] += report.feature.ok
     assert counts["balance"] == seeds
     assert counts["feature"] == seeds
-    assert counts["degree"] == 14
+    assert counts["degree"] == 23
     assert counts["split"] == 0
 
 

@@ -307,13 +307,17 @@ def test_cli_moments_with_oracle(capsys):
     assert float(values["z_score"]) < 6.0
 
 
-def assert_reproduces_demo_csv(argv, tmp_path):
-    """Run a demos/05 command into tmp_path; its CSV must equal out/demo's byte for byte."""
+def assert_reproduces_demo_csv(argv, tmp_path, seed="1", artifact=None):
+    """Run a demos/05 command into tmp_path; its output must equal out/demo's byte for byte.
+
+    The output is ``artifact``, by default the study's CSV ``<command>.csv``.
+    """
+    artifact = artifact or f"{argv[0]}.csv"
     committed = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                             "out", "demo", f"{argv[0]}.csv")
-    assert main([*argv, "--seed", "1", "--out", str(tmp_path)]) == 0
+                             "out", "demo", artifact)
+    assert main([*argv, "--seed", seed, "--out", str(tmp_path)]) == 0
     with open(committed, "rb") as fh:
-        assert (tmp_path / f"{argv[0]}.csv").read_bytes() == fh.read()
+        assert (tmp_path / artifact).read_bytes() == fh.read()
 
 
 def test_cli_validate_reproduces_the_demo_csv(tmp_path):
@@ -331,6 +335,15 @@ def test_cli_study_reproduces_the_demo_csv(argv, tmp_path):
     assert_reproduces_demo_csv(argv, tmp_path)
 
 
+def test_cli_gen_reproduces_the_demo_graph(tmp_path):
+    # the committed graph pins the sampler's streams: labels, features and
+    # every edge block; a change that moves an edge must regenerate it and
+    # bump TOOL_VERSION
+    assert_reproduces_demo_csv(["gen", "--n", "1000", "--a", "3", "--b", "2",
+                                "--mu", "20", "--sigma", "10"], tmp_path,
+                               seed="5", artifact="graph-5.txt")
+
+
 def test_cli_exp_runner_and_plot(tmp_path):
     rc = main(["exp1", "--n", "200", "--trials", "2", "--seed", "1",
                "--t-grid", "0,4", "--out", str(tmp_path), "--workers", "1"])
@@ -345,6 +358,20 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["gen", "--n", "200", "--mu", "1", "--sigma", "1"]) == 2
     assert main(["plot", "--csv", str(tmp_path / "missing.csv"), "--kind", "exp1"]) == 2
     capsys.readouterr()
+
+
+def test_cli_exp1_as_printed_exits_2(tmp_path, capsys):
+    # exp1 sweeps a_list against b, so the flag would change nothing the
+    # manifest claims it changed
+    rc = main(["exp1", "--as-printed", "--n", "200", "--trials", "1", "--workers", "1",
+               "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "as_printed" in captured.err
+    assert "Traceback" not in captured.err + captured.out
+    assert not (tmp_path / "exp1.csv").exists()
+    with pytest.raises(ConfigError):
+        build_config("validate-moments", as_printed=True)
 
 
 def test_cli_config_file(tmp_path):
